@@ -82,7 +82,7 @@ def test_bench_e11_planner_sweep(benchmark):
     headline_speedup = None
     for n_entities in GRAPH_ENTITIES:
         graph = build_graph(n_entities)
-        planner = QueryEvaluator(graph, use_planner=True)
+        planner = QueryEvaluator(graph, engine="planner")
         reference = QueryEvaluator(graph, engine="reference")
         for bgp_size, text in QUERIES_BY_BGP_SIZE.items():
             for limit in (5, None):
@@ -112,7 +112,7 @@ def test_bench_e11_planner_sweep(benchmark):
 
     # Register the headline measurement with pytest-benchmark.
     graph = build_graph(GRAPH_ENTITIES[-1])
-    planner = QueryEvaluator(graph, use_planner=True)
+    planner = QueryEvaluator(graph, engine="planner")
     query = _parse(QUERIES_BY_BGP_SIZE[2], 5)
     benchmark(lambda: planner.evaluate(query))
 
@@ -120,8 +120,8 @@ def test_bench_e11_planner_sweep(benchmark):
 def test_bench_e11_results_equivalent():
     """Both engines agree on every sweep query (sorted-row comparison)."""
     graph = build_graph(500)
-    planner = QueryEvaluator(graph, use_planner=True)
-    naive = QueryEvaluator(graph, use_planner=False)
+    planner = QueryEvaluator(graph, engine="planner")
+    naive = QueryEvaluator(graph, engine="naive")
     for text in QUERIES_BY_BGP_SIZE.values():
         query = parse_query(text)
         planned_rows = sorted(map(repr, planner.select(query)))
@@ -132,7 +132,7 @@ def test_bench_e11_results_equivalent():
 def test_bench_e11_ask_constant_time():
     """ASK over a large graph answers without enumerating solutions."""
     graph = build_graph(GRAPH_ENTITIES[-1])
-    planner = QueryEvaluator(graph, use_planner=True)
+    planner = QueryEvaluator(graph, engine="planner")
     reference = QueryEvaluator(graph, engine="reference")
     query = parse_query(PREFIX + "ASK { ?p rdf:type ex:Person . ?p ex:name ?n }")
     planner_time = _time(planner, query)

@@ -52,7 +52,7 @@ from .store import (
     open_graph,
     open_store,
 )
-from .graph import Graph, GraphView, ReadOnlyGraphView
+from .graph import Graph, GraphView
 from .dataset import Dataset
 from .reification import ReificationError, dereify, dereify_all, is_statement_node, reify
 from .collections import CollectionError, build_list, is_list_node, read_list
@@ -69,7 +69,7 @@ __all__ = [
     "RDF", "RDFS", "OWL", "XSD_NS", "FOAF", "DC", "VOID", "SKOS",
     "AKT", "KISTI", "DBPO", "MAP", "ALIGN_FN", "RKB_ID", "KISTI_ID", "DBPEDIA_RES",
     # graph/dataset
-    "Graph", "GraphView", "GraphStatistics", "ReadOnlyGraphView", "Dataset",
+    "Graph", "GraphView", "GraphStatistics", "Dataset",
     "TermDictionary", "UNBOUND_ID",
     # storage backends
     "Store", "MemoryStore", "SegmentStore", "StoreError",

@@ -61,13 +61,7 @@ from .exec import (
     compile_naive_query,
     compile_planner_query,
 )
-from .plan import (
-    CardinalityEstimator,
-    QueryPlan,
-    QueryPlanner,
-    explain_query,
-    plan_query,
-)
+from .plan import CardinalityEstimator, QueryPlanner
 from .expressions import (
     ExpressionError,
     effective_boolean_value,
@@ -128,8 +122,7 @@ __all__ = [
     "ExpressionError", "evaluate_expression", "expression_satisfied",
     "effective_boolean_value",
     # planning
-    "QueryPlanner", "QueryPlan", "CardinalityEstimator",
-    "plan_query", "explain_query",
+    "QueryPlanner", "CardinalityEstimator",
     # results
     "Binding", "ResultSet", "AskResult", "TermSerializationError",
     # wire formats

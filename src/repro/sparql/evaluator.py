@@ -261,13 +261,12 @@ def _apply_element(element, solutions: list[Binding], graph) -> list[Binding]:
 #:
 #: * ``planner`` — cost-based plan, batched (vectorized) execution
 #: * ``naive`` — bottom-up group semantics, batched execution
-#: * ``reference`` — the original dict-at-a-time bottom-up evaluator
-#: * ``streaming`` — the original one-binding-at-a-time physical operators
+#: * ``reference`` — the dict-at-a-time bottom-up evaluator of this module
 #:
 #: ``planner``/``naive`` share one operator layer (:mod:`repro.sparql.exec`);
-#: ``reference``/``streaming`` are kept as independently-implemented oracles
-#: for the differential tests.
-ENGINES = ("planner", "naive", "reference", "streaming")
+#: ``reference`` is kept as the independently-implemented oracle for the
+#: differential tests.
+ENGINES = ("planner", "naive", "reference")
 
 
 class QueryEvaluator:
@@ -276,31 +275,26 @@ class QueryEvaluator:
     By default queries run through the cost-based planner compiled onto the
     batched execution core (:mod:`repro.sparql.exec`): statistics-ordered
     index scans, pushed-down FILTERs, adaptive join reordering and
-    early-terminating modifiers.  Pass ``use_planner=False`` (or
-    ``engine="naive"``) for bottom-up group semantics on the same core, or
-    pick the pre-refactor oracles with ``engine="reference"`` /
-    ``engine="streaming"`` — the differential tests execute all engines and
+    early-terminating modifiers.  Pass ``engine="naive"`` for bottom-up
+    group semantics on the same core, or ``engine="reference"`` for the
+    dict-at-a-time oracle — the differential tests execute all engines and
     require identical solution multisets.
     """
 
     def __init__(
         self,
         graph: Graph,
-        use_planner: bool = True,
-        engine: str | None = None,
+        engine: str = "planner",
         exec_config=None,
         strict: bool = False,
         analysis: bool = True,
     ) -> None:
         self._graph = graph
-        if engine is None:
-            engine = "planner" if use_planner else "naive"
         if engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
             )
         self.engine = engine
-        self.use_planner = engine in ("planner", "streaming")
         self._exec_config = exec_config
         #: ``strict=True`` refuses queries with error-severity diagnostics
         #: (raising :class:`repro.sparql.analysis.QueryAnalysisError`);
@@ -377,10 +371,11 @@ class QueryEvaluator:
         raise TypeError(f"unsupported query form: {type(query).__name__}")
 
     def explain(self, query: Query | str) -> str:
-        """EXPLAIN-style rendering of the physical plan for ``query``."""
-        from .plan import explain_query
-
-        return explain_query(query, self._graph)
+        """EXPLAIN: the operator tree :meth:`analyze` would run, unexecuted."""
+        if isinstance(query, str):
+            query = parse_query(query)
+        _, plan = self._plan(query)
+        return plan.explain()
 
     def analyze(self, query: Query | str):
         """EXPLAIN ANALYZE: evaluate ``query`` and return ``(result, event)``.
@@ -388,25 +383,13 @@ class QueryEvaluator:
         The event is a :class:`repro.sparql.exec.QueryRunEvent` with
         per-operator rows/batches/wall-time and any adaptivity decisions;
         ``event.render()`` gives the human-readable report.  The reference
-        and streaming oracles have no batched instrumentation, so they
-        analyze through their batched equivalent (naive / planner).
+        oracle has no batched instrumentation, so it analyzes through its
+        batched equivalent (naive).
         """
         text = query if isinstance(query, str) else None
         if isinstance(query, str):
             query = parse_query(query)
-        analysis, effective = self._prepare(query)
-        if analysis is not None and analysis.provably_empty:
-            from .exec import compile_empty_query
-
-            plan = compile_empty_query(
-                query,
-                self._graph,
-                analysis.empty_reason or "analysis proved the query empty",
-                self._exec_config,
-                engine=self.engine,
-            )
-        else:
-            plan = self._compile(effective)
+        analysis, plan = self._plan(query)
         if isinstance(query, SelectQuery):
             rows = list(plan.bindings())
             result: ResultSet | AskResult | Graph = ResultSet(
@@ -430,6 +413,25 @@ class QueryEvaluator:
         return result
 
     # -- batched compilation --------------------------------------------------- #
+    def _plan(self, query: Query):
+        """``(analysis, plan)``: the batched plan EXPLAIN and EXPLAIN
+        ANALYZE show — after static analysis, so a provably empty query
+        plans as the single prune operator it runs as."""
+        from .exec import compile_empty_query
+
+        analysis, effective = self._prepare(query)
+        if analysis is not None and analysis.provably_empty:
+            plan = compile_empty_query(
+                query,
+                self._graph,
+                analysis.empty_reason or "analysis proved the query empty",
+                self._exec_config,
+                engine=self.engine,
+            )
+        else:
+            plan = self._compile(effective)
+        return analysis, plan
+
     def _compile(self, query: Query):
         """Compile ``query`` onto the batched execution core."""
         from .exec import compile_naive_query, compile_planner_query
@@ -437,7 +439,7 @@ class QueryEvaluator:
         with get_tracer().start_span(
             "planner.compile", {"engine": self.engine, "layer": "planner"}
         ) as span:
-            if self.engine in ("planner", "streaming"):
+            if self.engine == "planner":
                 plan = compile_planner_query(query, self._graph, self._exec_config)
             else:
                 plan = compile_naive_query(query, self._graph, self._exec_config)
@@ -477,10 +479,6 @@ class QueryEvaluator:
     # -- SELECT -------------------------------------------------------------- #
     def _evaluate_select(self, query: SelectQuery) -> ResultSet:
         projection = query.effective_projection()
-        if self.engine == "streaming":
-            from .plan import plan_query
-
-            return ResultSet(projection, plan_query(query, self._graph).execute())
         if self.engine == "reference":
             solutions = evaluate_group(query.where, self._graph)
 
@@ -526,12 +524,6 @@ class QueryEvaluator:
 
     # -- ASK ------------------------------------------------------------------ #
     def _evaluate_ask(self, query: AskQuery) -> AskResult:
-        if self.engine == "streaming":
-            from .plan import plan_query
-
-            # Streaming pays off most here: stop at the first solution.
-            first = next(plan_query(query, self._graph).execute(), None)
-            return AskResult(first is not None)
         if self.engine == "reference":
             solutions = evaluate_group(query.where, self._graph)
             return AskResult(bool(solutions))
@@ -544,20 +536,14 @@ class QueryEvaluator:
 
     # -- CONSTRUCT ------------------------------------------------------------ #
     def _evaluate_construct(self, query: ConstructQuery) -> Graph:
-        if self.engine == "streaming":
-            from .plan import plan_query
-
-            solutions: Iterable[Binding] = plan_query(query, self._graph).execute()
-        elif self.engine == "reference":
-            solutions = self._apply_modifiers(
-                query, evaluate_group(query.where, self._graph)
+        if self.engine == "reference":
+            return _construct_graph(
+                query, self._apply_modifiers(query, evaluate_group(query.where, self._graph))
             )
-        else:
-            plan = self._compile(query)
-            output = _construct_graph(query, plan.bindings())
-            self._finish(plan, query)
-            return output
-        return _construct_graph(query, solutions)
+        plan = self._compile(query)
+        output = _construct_graph(query, plan.bindings())
+        self._finish(plan, query)
+        return output
 
 
 def _construct_graph(query: ConstructQuery, solutions: Iterable[Binding]) -> Graph:

@@ -20,9 +20,9 @@ loops with **one** operator layer:
 
 The three engines survive as *planners* over this executor:
 
-* :func:`compile_planner_query` converts the cost-based physical plan of
-  :mod:`repro.sparql.plan` (which keeps its estimator, join ordering,
-  hash/bind join selection and filter pushdown) into batched operators,
+* :func:`compile_planner_query` runs the cost-based
+  :class:`~repro.sparql.plan.QueryPlanner` (estimator, join ordering,
+  hash/bind join selection, filter pushdown), which emits these operators,
 * :func:`compile_naive_query` compiles the AST group structure with the
   naive evaluator's semantics (element order, group-scoped filters,
   ``ordered_bgp_patterns`` scan order) onto the same operators,
@@ -36,11 +36,12 @@ using cardinalities *sampled from actual rows* (bind the sampled values
 into the remaining patterns and ask the graph), and the decision is
 recorded for ``EXPLAIN ANALYZE``.
 
-**EXPLAIN ANALYZE**: every operator counts rows/batches in and out and
-its (inclusive) wall time; :meth:`ExecPlan.analyze` renders the operator
-tree with those numbers and :meth:`ExecPlan.run_event` packages them as a
-structured per-query event consumable by ``benchmarks/compare.py
---events``.
+**EXPLAIN / EXPLAIN ANALYZE**: :meth:`ExecPlan.explain` renders the
+operator tree that executes, with estimates.  Every operator also counts
+rows/batches in and out and its (inclusive) wall time;
+:meth:`ExecPlan.report` renders the tree with those numbers and
+:meth:`ExecPlan.run_event` packages them as a structured per-query event
+consumable by ``benchmarks/compare.py --events``.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from typing import Any
 
 from ..obs.export import RUN_EVENTS_ENV, SINK
 from ..rdf import BNode, Term, TermDictionary, Triple, Variable
-from .ast import AskQuery, ConstructQuery, Expression, OrderCondition, Query, SelectQuery
+from .ast import AskQuery, Expression, OrderCondition, Query, SelectQuery
 from .evaluator import (
     BNODE_ANCHOR_PREFIX,
     _orderable,
@@ -180,9 +181,16 @@ class OpMetrics:
 
 
 class ExecContext:
-    """Shared execution state: the graph, its term dictionary, decisions."""
+    """Shared execution state: the graph, its term dictionary, decisions.
 
-    __slots__ = ("graph", "dictionary", "config", "decisions")
+    Terms a query mentions but the dictionary has never seen (``VALUES``
+    constants) get query-local ids ``-1, -2, ...`` from :meth:`term_id`.
+    They live only here, so compiling or running a read never writes the
+    store; no store index holds a negative id, so such a term matches
+    nothing in a scan yet still decodes back into the answer.
+    """
+
+    __slots__ = ("graph", "dictionary", "config", "decisions", "_local_ids", "_local_terms")
 
     def __init__(
         self,
@@ -201,6 +209,25 @@ class ExecContext:
         self.config = config or ExecConfig()
         #: Adaptivity decisions recorded during execution.
         self.decisions: list[dict[str, Any]] = []
+        self._local_ids: dict[Term, int] = {}
+        #: Query-local terms; id ``-n`` decodes to ``_local_terms[n - 1]``.
+        self._local_terms: list[Term] = []
+
+    def term_id(self, term: Term) -> int:
+        """``term``'s dictionary id, or a query-local id if the store has
+        never seen it (never interned, so the store is not written)."""
+        known = self.dictionary.lookup(term)
+        if known:
+            return known
+        local = self._local_ids.get(term)
+        if local is None:
+            self._local_terms.append(term)
+            local = self._local_ids[term] = -len(self._local_terms)
+        return local
+
+    def term(self, value: int) -> Term:
+        """The term behind a (dictionary or query-local) id."""
+        return self.dictionary.terms[value] if value > 0 else self._local_terms[-value - 1]
 
     def decode_binding(self, schema: Schema, row: Row) -> Binding:
         """Decode a row into a :class:`Binding`, dropping internal columns."""
@@ -208,8 +235,10 @@ class ExecContext:
         data: dict[Variable, Term] = {}
         for index, variable in _external_columns(schema):
             value = row[index]
-            if value:
+            if value > 0:
                 data[variable] = terms[value]
+            elif value:
+                data[variable] = self._local_terms[-value - 1]
         return Binding(data)
 
     def decode_expression_binding(self, schema: Schema, row: Row) -> Binding:
@@ -220,7 +249,7 @@ class ExecContext:
         for index, variable in enumerate(schema):
             value = row[index]
             if value and not variable.name.startswith(_ORD_PREFIX):
-                data[variable] = terms[value]
+                data[variable] = terms[value] if value > 0 else self._local_terms[-value - 1]
         return Binding(data)
 
 
@@ -316,17 +345,20 @@ class VecOperator:
         for child in self.children():
             child.reset()
 
-    def report_lines(self, indent: int = 0) -> list[str]:
-        metrics = self.metrics
-        line = (
-            f"{'  ' * indent}{self.describe()}"
-            f"  (rows {metrics.rows_in} -> {metrics.rows_out},"
-            f" batches {metrics.batches_out},"
-            f" {metrics.seconds * 1000:.2f} ms)"
-        )
+    def report_lines(self, indent: int = 0, metrics: bool = True) -> list[str]:
+        """The operator tree, one line per operator; ``metrics`` appends
+        the counters of the most recent execution (EXPLAIN ANALYZE)."""
+        line = f"{'  ' * indent}{self.describe()}"
+        if metrics:
+            counters = self.metrics
+            line += (
+                f"  (rows {counters.rows_in} -> {counters.rows_out},"
+                f" batches {counters.batches_out},"
+                f" {counters.seconds * 1000:.2f} ms)"
+            )
         lines = [line]
         for child in self.children():
-            lines.extend(child.report_lines(indent + 1))
+            lines.extend(child.report_lines(indent + 1, metrics))
         return lines
 
     def operator_stats(self, depth: int = 0) -> list[dict[str, Any]]:
@@ -516,9 +548,9 @@ class VecBGPOp(VecOperator):
             return scan_ids()
 
         # Fallback for graph-likes without id indexes (test doubles, proxies
-        # wrapping only ``triples``): scan on terms, interning matches.
-        intern = dictionary.intern
-        terms = dictionary.terms
+        # wrapping only ``triples``): scan on terms, mapping matches to ids.
+        term_id = ctx.term_id
+        decode = ctx.term
 
         def scan() -> Iterator[Row]:
             for row in rows:
@@ -526,14 +558,14 @@ class VecBGPOp(VecOperator):
                 for position, index in lookup_cols:
                     value = row[index]
                     if value:
-                        lookup[position] = terms[value]
+                        lookup[position] = decode(value)
                 padded = row + (UNBOUND,) * pad if pad else row
                 for triple in graph.triples(lookup[0], lookup[1], lookup[2]):
                     data = (triple.subject, triple.predicate, triple.object)
                     out = list(padded)
                     consistent = True
                     for position, index in var_cols:
-                        observed = intern(data[position])
+                        observed = term_id(data[position])
                         current = out[index]
                         if current and current != observed:
                             consistent = False
@@ -556,7 +588,7 @@ class VecBGPOp(VecOperator):
         cardinality = getattr(self.ctx.graph, "cardinality", None)
         if cardinality is None or not rows:
             return float("inf")
-        terms = self.ctx.dictionary.terms
+        decode = self.ctx.term
         column = {variable: index for index, variable in enumerate(layout)}
         total = 0.0
         for row in rows:
@@ -571,7 +603,7 @@ class VecBGPOp(VecOperator):
                     continue
                 index = column.get(anchor)
                 if index is not None and row[index]:
-                    lookup[position] = terms[row[index]]
+                    lookup[position] = decode(row[index])
             total += float(cardinality(lookup[0], lookup[1], lookup[2]))
         return total / len(rows)
 
@@ -689,8 +721,8 @@ class VecBGPOp(VecOperator):
         suffix = " adaptive" if self.adaptive else ""
         return f"BGPScan est={self.est:.1f}{suffix}"
 
-    def report_lines(self, indent: int = 0) -> list[str]:
-        lines = super().report_lines(indent)
+    def report_lines(self, indent: int = 0, metrics: bool = True) -> list[str]:
+        lines = super().report_lines(indent, metrics)
         pad = "  " * (indent + 1)
         for step in self.steps:
             suffix = ""
@@ -722,9 +754,9 @@ class VecTableOp(VecOperator):
         self.in_schema = in_schema
         self.columns = list(columns)
         self.schema = extend_schema(in_schema, self.columns)
-        intern = ctx.dictionary.intern
+        term_id = ctx.term_id
         self._rows: list[Row] = [
-            tuple(intern(term) if term is not None else UNBOUND for term in row)
+            tuple(term_id(term) if term is not None else UNBOUND for term in row)
             for row in rows
         ]
         self.est = float(len(self._rows))
@@ -1334,6 +1366,14 @@ class ExecPlan:
         """Wall seconds of the most recent execution."""
         return self._elapsed
 
+    def explain(self) -> str:
+        """EXPLAIN: the operator tree that executes, with estimates."""
+        form = type(self.query).__name__.replace("Query", "").upper()
+        graph = self.ctx.graph
+        size = len(graph) if hasattr(graph, "__len__") else "?"
+        header = f"plan for {form} query over graph with {size} triples"
+        return "\n".join([header, *self.root.report_lines(0, metrics=False)])
+
     def report(self) -> str:
         """Per-operator rows/batches/time of the most recent execution."""
         return "\n".join(self.root.report_lines(0))
@@ -1359,80 +1399,19 @@ def _fresh_ord(counter: list[int]) -> Variable:
     return Variable(f"{_ORD_PREFIX}{counter[0]}")
 
 
-def _convert_physical(
-    op: Any, in_schema: Schema, ctx: ExecContext, counter: list[int]
-) -> VecOperator:
-    """Convert one streaming physical operator (``repro.sparql.plan``) into
-    its batched counterpart, preserving every planning decision."""
-    from . import plan as _plan
-
-    if isinstance(op, _plan.BGPScanOp):
-        steps = [_VecStep(step.pattern, list(step.filters), step.est) for step in op.steps]
-        return VecBGPOp(
-            ctx, in_schema, steps, list(op.tail_filters),
-            adaptive=ctx.config.adaptive,
-        )
-    if isinstance(op, _plan.TableOp):
-        columns = list(op.columns)
-        rows = [
-            tuple(binding.get_term(column) for column in columns)
-            for binding in op._rows
-        ]
-        return VecTableOp(ctx, in_schema, columns, rows)
-    if isinstance(op, _plan.PipelineJoinOp):
-        left = _convert_physical(op._left, in_schema, ctx, counter)
-        right = _convert_physical(op._right, left.schema, ctx, counter)
-        return VecBindJoinOp(ctx, left, right)
-    if isinstance(op, _plan.HashJoinOp):
-        left = _convert_physical(op._left, in_schema, ctx, counter)
-        right = _convert_physical(op._right, (), ctx, counter)
-        return VecHashJoinOp(ctx, left, right, list(op.key))
-    if isinstance(op, _plan.LeftJoinOp):
-        left = _convert_physical(op._left, in_schema, ctx, counter)
-        ord_var = _fresh_ord(counter)
-        right = _convert_physical(op._right, left.schema + (ord_var,), ctx, counter)
-        left_join = VecLeftJoinOp(ctx, left.schema, right, op._expression, ord_var)
-        return VecBindJoinOp(ctx, left, left_join)
-    if isinstance(op, _plan.UnionOp):
-        ord_var = _fresh_ord(counter)
-        branches = [
-            _convert_physical(branch, in_schema + (ord_var,), ctx, counter)
-            for branch in op._branches
-        ]
-        return VecUnionOp(ctx, in_schema, branches, ord_var)
-    if isinstance(op, _plan.FilterOp):
-        child = _convert_physical(op._child, in_schema, ctx, counter)
-        return VecFilterOp(ctx, child, list(op._expressions))
-    if isinstance(op, _plan.ProjectOp):
-        child = _convert_physical(op._child, in_schema, ctx, counter)
-        return VecProjectOp(ctx, child, list(op._projection))
-    if isinstance(op, _plan.DistinctOp):
-        child = _convert_physical(op._child, in_schema, ctx, counter)
-        return VecDistinctOp(ctx, child)
-    if isinstance(op, _plan.OrderByOp):
-        child = _convert_physical(op._child, in_schema, ctx, counter)
-        return VecOrderByOp(ctx, child, list(op._conditions))
-    if isinstance(op, _plan.SliceOp):
-        child = _convert_physical(op._child, in_schema, ctx, counter)
-        return VecSliceOp(ctx, child, op._offset, op._limit)
-    raise TypeError(f"cannot vectorize physical operator: {op!r}")
-
-
 def compile_planner_query(
     query: Query, graph: Any, config: ExecConfig | None = None
 ) -> ExecPlan:
     """Compile ``query`` with the cost-based planner onto batched operators.
 
     All planning (statistics-driven join order, hash vs. bind join
-    selection, filter pushdown) comes from :class:`~repro.sparql.plan.
-    QueryPlanner`; only the execution layer changes.
+    selection, filter pushdown) is done by :class:`~repro.sparql.plan.
+    QueryPlanner`, which emits this module's operators directly.
     """
-    from .plan import plan_query
+    from .plan import QueryPlanner
 
     ctx = ExecContext(graph, config)
-    streaming = plan_query(query, graph)
-    root = _convert_physical(streaming.root, (), ctx, [0])
-    return ExecPlan(query, root, ctx, engine="planner")
+    return ExecPlan(query, QueryPlanner(ctx).plan(query), ctx, engine="planner")
 
 
 # --------------------------------------------------------------------------- #

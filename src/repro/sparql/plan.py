@@ -1,45 +1,30 @@
-"""Cost-based query planning and streaming execution.
+"""Cost-based query planning onto the batched executor.
 
-The naive evaluator (:mod:`repro.sparql.evaluator`) materialises the full
-binding list at every step and defers FILTERs to the end of their group.
-This module compiles the :class:`~repro.sparql.algebra.AlgebraNode` tree of
-a query into a tree of *physical operators* instead:
+The naive engine (:func:`repro.sparql.exec.compile_naive_query`) follows
+the query's group structure: elements in written order, FILTERs at the end
+of their group.  This module plans instead.  :class:`QueryPlanner` compiles
+the :class:`~repro.sparql.algebra.AlgebraNode` tree of a query straight
+into the batched operators of :mod:`repro.sparql.exec`, deciding
 
-* :class:`BGPScanOp` — a chain of index scans over the triple patterns of a
-  BGP, ordered greedily by exact cardinality estimates drawn from the
-  graph's incrementally maintained statistics
-  (:meth:`repro.rdf.Graph.cardinality`),
-* :class:`HashJoinOp` — a hash join on the shared variables of two
-  independent sub-plans (build on the smaller/right side, probe streaming),
-* :class:`PipelineJoinOp` — the streaming nested-loop (bind-join) fallback:
-  left solutions flow into the right sub-plan as input bindings, so the
-  right side's index scans are correlated lookups,
-* :class:`LeftJoinOp` / :class:`UnionOp` — OPTIONAL and UNION with the same
-  correlated streaming discipline,
-* :class:`FilterOp` — FILTERs pushed down to the earliest operator at which
-  every variable of the expression is *certainly* bound (which is exactly
-  the point from which their verdict can no longer change),
-* :class:`ProjectOp` / :class:`DistinctOp` / :class:`OrderByOp` /
-  :class:`SliceOp` — the solution-modifier pipeline, streaming except for
-  the unavoidable ORDER BY materialisation.
+* the scan order of every BGP, greedily by cardinality estimates drawn
+  from the graph's incrementally maintained statistics
+  (:class:`CardinalityEstimator`, :func:`order_patterns`),
+* hash join versus correlated bind join for every join, from the static
+  certain/possible variable analysis (:func:`certain_variables`,
+  :func:`possible_variables`) and the estimates,
+* where each FILTER runs: at the earliest operator at which every variable
+  of the expression is *certainly* bound (the point from which its verdict
+  can no longer change), otherwise at its original position.
 
-Every operator consumes and produces *iterators* of
-:class:`~repro.sparql.results.Binding`, so a ``LIMIT``-ed query stops
-scanning as soon as enough solutions have been produced and an ``ASK``
-stops at the first solution, instead of enumerating every solution the way
-the naive evaluator does.
-
-Plans render as an ``EXPLAIN``-style operator tree via
-:meth:`QueryPlan.explain` (exposed on the CLI as ``repro-query
---explain``).  Planned execution is solution-equivalent to the naive
-evaluator: the same multiset of solutions, in the same order whenever the
-query constrains order (ORDER BY); the conformance corpus and the
-hypothesis differential test pin this down.
+The resulting operator tree is what executes and what ``EXPLAIN`` renders
+(:meth:`repro.sparql.exec.ExecPlan.explain`).  Planned execution is
+solution-equivalent to the naive and reference engines: the conformance
+corpus and the hypothesis differential test pin this down.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from ..rdf import BNode, Triple, Variable
 from .algebra import (
@@ -57,35 +42,30 @@ from .algebra import (
     translate_group,
     translate_query,
 )
-from .ast import AskQuery, Expression, OrderCondition, Query
-from .evaluator import (
-    BNODE_ANCHOR_PREFIX,
-    _match_triple,
-    _order,
-    bnode_anchor,
+from .ast import AskQuery, Expression, Query
+from .evaluator import bnode_anchor
+from .exec import (
+    ExecContext,
+    Schema,
+    VecBGPOp,
+    VecBindJoinOp,
+    VecDistinctOp,
+    VecFilterOp,
+    VecHashJoinOp,
+    VecLeftJoinOp,
+    VecOperator,
+    VecOrderByOp,
+    VecProjectOp,
+    VecSliceOp,
+    VecTableOp,
+    VecUnionOp,
+    _fresh_ord,
+    _VecStep,
 )
-from .expressions import expression_satisfied
-from .results import Binding
-from .serializer import serialize_expression
 
 __all__ = [
     "CardinalityEstimator",
-    "PhysicalOperator",
-    "BGPScanOp",
-    "TableOp",
-    "PipelineJoinOp",
-    "HashJoinOp",
-    "LeftJoinOp",
-    "UnionOp",
-    "FilterOp",
-    "ProjectOp",
-    "DistinctOp",
-    "OrderByOp",
-    "SliceOp",
-    "QueryPlan",
     "QueryPlanner",
-    "plan_query",
-    "explain_query",
     "order_patterns",
 ]
 
@@ -244,386 +224,38 @@ def possible_variables(node: AlgebraNode) -> set[Variable]:
 
 
 # --------------------------------------------------------------------------- #
-# Physical operators
-# --------------------------------------------------------------------------- #
-class PhysicalOperator:
-    """Base class: a pull-based operator over streams of bindings.
-
-    ``run`` must be restartable — every call creates fresh iteration state,
-    because correlated operators (bind-join, OPTIONAL, UNION) re-run their
-    inner sub-plan once per outer binding.
-    """
-
-    #: Estimated output rows for one empty input binding (used for display
-    #: and join-strategy choice; never a correctness input).
-    est: float = 1.0
-
-    def run(self, bindings: Iterator[Binding]) -> Iterator[Binding]:
-        raise NotImplementedError
-
-    def reset(self) -> None:
-        """Drop any state cached across ``run`` calls (new plan execution).
-
-        Correlated parents re-run their sub-plans once per outer binding
-        *within* one execution, and operators may cache invariant state
-        (e.g. a hash table) across those re-runs; a fresh execution against
-        possibly mutated data must start clean.
-        """
-        for child in self.children():
-            child.reset()
-
-    def children(self) -> Sequence[PhysicalOperator]:
-        return ()
-
-    def describe(self) -> str:
-        return type(self).__name__
-
-    def explain_lines(self, indent: int = 0) -> list[str]:
-        lines = ["  " * indent + self.describe()]
-        for child in self.children():
-            lines.extend(child.explain_lines(indent + 1))
-        return lines
-
-
-class _ScanStep:
-    """One index scan of a BGP chain plus the filters applied right after."""
-
-    __slots__ = ("pattern", "filters", "est")
-
-    def __init__(self, pattern: Triple, filters: list[Expression], est: float) -> None:
-        self.pattern = pattern
-        self.filters = filters
-        self.est = est
-
-
-class BGPScanOp(PhysicalOperator):
-    """A statistics-ordered chain of index scans with inlined filters."""
-
-    def __init__(self, graph, steps: list[_ScanStep], tail_filters: list[Expression]) -> None:
-        self._graph = graph
-        self.steps = steps
-        self.tail_filters = tail_filters
-        est = 1.0
-        for step in steps:
-            est *= max(step.est, 0.0)
-        self.est = est
-
-    def run(self, bindings: Iterator[Binding]) -> Iterator[Binding]:
-        stream = bindings
-        for step in self.steps:
-            stream = self._scan(step, stream)
-        if self.tail_filters:
-            stream = self._filter_tail(stream)
-        return stream
-
-    def _scan(self, step: _ScanStep, stream: Iterator[Binding]) -> Iterator[Binding]:
-        graph = self._graph
-        for binding in stream:
-            for extended in _match_triple(step.pattern, binding, graph):
-                if all(expression_satisfied(expr, extended, graph) for expr in step.filters):
-                    yield extended
-
-    def _filter_tail(self, stream: Iterator[Binding]) -> Iterator[Binding]:
-        graph = self._graph
-        for binding in stream:
-            if all(expression_satisfied(expr, binding, graph) for expr in self.tail_filters):
-                yield binding
-
-    def describe(self) -> str:
-        return f"BGPScan est={self.est:.1f}"
-
-    def explain_lines(self, indent: int = 0) -> list[str]:
-        lines = ["  " * indent + self.describe()]
-        pad = "  " * (indent + 1)
-        for step in self.steps:
-            suffix = ""
-            if step.filters:
-                rendered = ", ".join(serialize_expression(expr) for expr in step.filters)
-                suffix = f" [filter {rendered}]"
-            lines.append(f"{pad}scan ({_pattern_text(step.pattern)}) est={step.est:.1f}{suffix}")
-        for expr in self.tail_filters:
-            lines.append(f"{pad}filter {serialize_expression(expr)}")
-        return lines
-
-
-class TableOp(PhysicalOperator):
-    """An inline solution table (VALUES): joins each input binding with
-    every compatible table row."""
-
-    def __init__(self, columns: Sequence[Variable], rows: Sequence[tuple]) -> None:
-        self.columns = list(columns)
-        self._rows = [
-            Binding({
-                variable: term
-                for variable, term in zip(self.columns, row, strict=True)
-                if term is not None
-            })
-            for row in rows
-        ]
-        self.est = float(len(self._rows))
-
-    def run(self, bindings: Iterator[Binding]) -> Iterator[Binding]:
-        for binding in bindings:
-            for row in self._rows:
-                if binding.compatible(row):
-                    yield binding.merge(row)
-
-    def describe(self) -> str:
-        rendered = " ".join(f"?{variable.name}" for variable in self.columns)
-        return f"Table ({rendered}) {len(self._rows)} rows"
-
-
-class PipelineJoinOp(PhysicalOperator):
-    """Streaming nested-loop (bind) join: left solutions feed the right plan."""
-
-    def __init__(self, left: PhysicalOperator, right: PhysicalOperator) -> None:
-        self._left = left
-        self._right = right
-        self.est = max(left.est, 0.0) * max(right.est, 0.0)
-
-    def run(self, bindings: Iterator[Binding]) -> Iterator[Binding]:
-        return self._right.run(self._left.run(bindings))
-
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self._left, self._right)
-
-    def describe(self) -> str:
-        return f"BindJoin est={self.est:.1f}"
-
-
-class HashJoinOp(PhysicalOperator):
-    """Hash join on shared variables: build right once, probe left streaming."""
-
-    def __init__(
-        self,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        key: Sequence[Variable],
-    ) -> None:
-        self._left = left
-        self._right = right
-        self.key = tuple(sorted(key, key=lambda v: v.name))
-        self.est = max(left.est, 0.0) * max(right.est, 0.0) * 0.1
-        # The build side is compiled against an empty input (that is what
-        # makes the hash join safe), so its result cannot vary between runs
-        # of one execution: build once, reuse under correlated parents.
-        self._table: dict[tuple, list[Binding]] | None = None
-
-    def reset(self) -> None:
-        self._table = None
-        super().reset()
-
-    def run(self, bindings: Iterator[Binding]) -> Iterator[Binding]:
-        if self._table is None:
-            self._table = {}
-            for row in self._right.run(iter((Binding(),))):
-                key = tuple(row.get_term(variable) for variable in self.key)
-                self._table.setdefault(key, []).append(row)
-        table = self._table
-        for binding in self._left.run(bindings):
-            key = tuple(binding.get_term(variable) for variable in self.key)
-            for row in table.get(key, ()):
-                yield binding.merge(row)
-
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self._left, self._right)
-
-    def describe(self) -> str:
-        rendered = " ".join(f"?{variable.name}" for variable in self.key)
-        return f"HashJoin on ({rendered}) est={self.est:.1f}"
-
-
-class LeftJoinOp(PhysicalOperator):
-    """OPTIONAL: correlated left-outer join with an optional join condition."""
-
-    def __init__(
-        self,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        expression: Expression | None,
-        graph,
-    ) -> None:
-        self._left = left
-        self._right = right
-        self._expression = expression
-        self._graph = graph
-        self.est = max(left.est, 1.0)
-
-    def run(self, bindings: Iterator[Binding]) -> Iterator[Binding]:
-        graph = self._graph
-        for binding in self._left.run(bindings):
-            matched = False
-            for extended in self._right.run(iter((binding,))):
-                if self._expression is None or expression_satisfied(
-                    self._expression, extended, graph
-                ):
-                    matched = True
-                    yield extended
-            if not matched:
-                yield binding
-
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self._left, self._right)
-
-    def describe(self) -> str:
-        condition = (
-            f" on [{serialize_expression(self._expression)}]"
-            if self._expression is not None
-            else ""
-        )
-        return f"LeftJoin{condition} est={self.est:.1f}"
-
-
-class UnionOp(PhysicalOperator):
-    """UNION: each input binding flows through every branch, in branch order."""
-
-    def __init__(self, branches: Sequence[PhysicalOperator]) -> None:
-        self._branches = list(branches)
-        self.est = sum(max(branch.est, 0.0) for branch in self._branches)
-
-    def run(self, bindings: Iterator[Binding]) -> Iterator[Binding]:
-        for binding in bindings:
-            for branch in self._branches:
-                yield from branch.run(iter((binding,)))
-
-    def children(self) -> Sequence[PhysicalOperator]:
-        return tuple(self._branches)
-
-    def describe(self) -> str:
-        return f"Union est={self.est:.1f}"
-
-
-class FilterOp(PhysicalOperator):
-    """A FILTER that could not be pushed further down."""
-
-    def __init__(self, expressions: Sequence[Expression], child: PhysicalOperator, graph) -> None:
-        self._expressions = list(expressions)
-        self._child = child
-        self._graph = graph
-        self.est = max(child.est, 0.0) * (0.5 ** len(self._expressions))
-
-    def run(self, bindings: Iterator[Binding]) -> Iterator[Binding]:
-        graph = self._graph
-        for binding in self._child.run(bindings):
-            if all(expression_satisfied(expr, binding, graph) for expr in self._expressions):
-                yield binding
-
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self._child,)
-
-    def describe(self) -> str:
-        rendered = ", ".join(serialize_expression(expr) for expr in self._expressions)
-        return f"Filter [{rendered}] est={self.est:.1f}"
-
-
-class ProjectOp(PhysicalOperator):
-    """Project each solution onto the requested variables (streaming)."""
-
-    def __init__(self, projection: Sequence[Variable], child: PhysicalOperator) -> None:
-        # Blank-node anchor variables are internal and never projected,
-        # matching the naive evaluator's projection rule.
-        self._projection = [
-            variable for variable in projection
-            if not variable.name.startswith(BNODE_ANCHOR_PREFIX)
-        ]
-        self._child = child
-        self.est = child.est
-
-    def run(self, bindings: Iterator[Binding]) -> Iterator[Binding]:
-        for binding in self._child.run(bindings):
-            yield binding.project(self._projection)
-
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self._child,)
-
-    def describe(self) -> str:
-        rendered = " ".join(f"?{variable.name}" for variable in self._projection)
-        return f"Project ({rendered})"
-
-
-class DistinctOp(PhysicalOperator):
-    """Streaming duplicate elimination (first occurrence wins)."""
-
-    def __init__(self, child: PhysicalOperator) -> None:
-        self._child = child
-        self.est = child.est
-
-    def run(self, bindings: Iterator[Binding]) -> Iterator[Binding]:
-        seen: set[frozenset] = set()
-        for binding in self._child.run(bindings):
-            key = frozenset(binding.as_dict().items())
-            if key not in seen:
-                seen.add(key)
-                yield binding
-
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self._child,)
-
-    def describe(self) -> str:
-        return "Distinct"
-
-
-class OrderByOp(PhysicalOperator):
-    """ORDER BY: the one blocking operator (must materialise to sort)."""
-
-    def __init__(self, conditions: Sequence[OrderCondition], child: PhysicalOperator, graph) -> None:
-        self._conditions = list(conditions)
-        self._child = child
-        self._graph = graph
-        self.est = child.est
-
-    def run(self, bindings: Iterator[Binding]) -> Iterator[Binding]:
-        return iter(_order(list(self._child.run(bindings)), self._conditions, self._graph))
-
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self._child,)
-
-    def describe(self) -> str:
-        return f"OrderBy ({len(self._conditions)} conditions, blocking)"
-
-
-class SliceOp(PhysicalOperator):
-    """OFFSET/LIMIT with early termination: stop pulling once satisfied."""
-
-    def __init__(self, offset: int | None, limit: int | None, child: PhysicalOperator) -> None:
-        self._offset = offset or 0
-        self._limit = limit
-        self._child = child
-        self.est = min(child.est, float(limit)) if limit is not None else child.est
-
-    def run(self, bindings: Iterator[Binding]) -> Iterator[Binding]:
-        skipped = 0
-        emitted = 0
-        for binding in self._child.run(bindings):
-            if skipped < self._offset:
-                skipped += 1
-                continue
-            if self._limit is not None and emitted >= self._limit:
-                return
-            emitted += 1
-            yield binding
-            if self._limit is not None and emitted >= self._limit:
-                return
-
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self._child,)
-
-    def describe(self) -> str:
-        return f"Slice (offset={self._offset}, limit={self._limit})"
-
-
-# --------------------------------------------------------------------------- #
 # Compilation
 # --------------------------------------------------------------------------- #
+#: ``_compile`` result: the operator, its planning estimate, and the
+#: variables certainly / possibly bound in its output.
+_Compiled = tuple[VecOperator, float, frozenset, frozenset]
+
+
+def _filtered(
+    ctx: ExecContext, op: VecOperator, est: float, expressions: list[Expression]
+) -> tuple[VecOperator, float]:
+    """``op`` under a FILTER of ``expressions``, with the filtered estimate."""
+    return VecFilterOp(ctx, op, expressions), est * (0.5 ** len(expressions))
+
+
 class QueryPlanner:
-    """Compile algebra trees into physical plans for one graph."""
+    """Compile algebra trees into batched operator trees for one graph.
 
-    def __init__(self, graph) -> None:
-        self._graph = graph
-        self._estimator = CardinalityEstimator(graph)
+    Every compile step threads the schema of its input rows (the columns
+    the operator receives) beside the certain/possible variable sets, and
+    returns a *planning estimate* beside the operator.  It equals the
+    operator's displayed ``est`` except at and above an OPTIONAL: the tree
+    runs it as a bind join into a left join (displayed ``left x right``),
+    while join choices count it as the left side's rows, since every left
+    row survives at least once.
+    """
 
-    # -- public entry points ------------------------------------------------ #
-    def plan(self, query: Query) -> QueryPlan:
+    def __init__(self, ctx: ExecContext) -> None:
+        self._ctx = ctx
+        self._estimator = CardinalityEstimator(ctx.graph)
+        self._ords = [0]
+
+    def plan(self, query: Query) -> VecOperator:
         """Plan a full query (WHERE clause plus solution modifiers)."""
         if isinstance(query, AskQuery):
             # ASK ignores solution modifiers; plan the pattern only so the
@@ -631,8 +263,8 @@ class QueryPlanner:
             node = translate_group(query.where)
         else:
             node = translate_query(query)
-        root, _, _ = self._compile(self._coalesce(node), frozenset(), frozenset(), [])
-        return QueryPlan(query, root, self._graph)
+        root, _, _, _ = self._compile(self._coalesce(node), (), frozenset(), frozenset(), [])
+        return root
 
     # -- algebra normalisation ---------------------------------------------- #
     @staticmethod
@@ -654,79 +286,87 @@ class QueryPlanner:
     def _compile(
         self,
         node: AlgebraNode,
+        schema: Schema,
         certain: frozenset,
         possible: frozenset,
         pending: list[Expression],
-    ) -> tuple[PhysicalOperator, frozenset, frozenset]:
-        """Compile ``node`` given the input stream's variable knowledge.
+    ) -> _Compiled:
+        """Compile ``node`` given the input rows' schema and variables.
 
-        ``certain``/``possible`` describe the bindings arriving from the
-        operator's input stream; ``pending`` are FILTER expressions scoped
-        to this subtree that are guaranteed to have been applied by the
-        time the returned operator's output emerges.
+        ``schema`` is the column layout of the rows the operator receives;
+        ``certain``/``possible`` describe which variables they bind;
+        ``pending`` are FILTER expressions scoped to this subtree that are
+        guaranteed to have been applied by the time the returned
+        operator's output emerges.
         """
+        ctx = self._ctx
         if isinstance(node, AlgebraFilter):
-            return self._compile(node.child, certain, possible, pending + [node.expression])
+            return self._compile(node.child, schema, certain, possible, pending + [node.expression])
         if isinstance(node, AlgebraBGP):
-            return self._compile_bgp(node, certain, possible, pending)
+            return self._compile_bgp(node, schema, certain, possible, pending)
         if isinstance(node, AlgebraTable):
-            table_certain = frozenset(certain_variables(node))
-            table_possible = frozenset(node.columns)
-            op: PhysicalOperator = TableOp(node.columns, node.rows)
+            op: VecOperator = VecTableOp(ctx, schema, node.columns, node.rows)
+            est = op.est
             if pending:
                 # FILTERs run at their original position, after the join
                 # with the inline table.
-                op = FilterOp(pending, op, self._graph)
-            return op, certain | table_certain, possible | table_possible
-        if isinstance(node, AlgebraJoin):
-            return self._compile_join(node, certain, possible, pending)
-        if isinstance(node, AlgebraLeftJoin):
-            return self._compile_leftjoin(node, certain, possible, pending)
-        if isinstance(node, AlgebraUnion):
-            branches: list[PhysicalOperator] = []
-            branch_certain: list[frozenset] = []
-            branch_possible: list[frozenset] = []
-            for child in (node.left, node.right):
-                op, c_out, p_out = self._compile(child, certain, possible, list(pending))
-                branches.append(op)
-                branch_certain.append(c_out)
-                branch_possible.append(p_out)
-            union = UnionOp(branches)
+                op, est = _filtered(ctx, op, est, pending)
             return (
-                union,
-                certain | (branch_certain[0] & branch_certain[1]),
-                possible | branch_possible[0] | branch_possible[1],
+                op,
+                est,
+                certain | frozenset(certain_variables(node)),
+                possible | frozenset(node.columns),
+            )
+        if isinstance(node, AlgebraJoin):
+            return self._compile_join(node, schema, certain, possible, pending)
+        if isinstance(node, AlgebraLeftJoin):
+            return self._compile_leftjoin(node, schema, certain, possible, pending)
+        if isinstance(node, AlgebraUnion):
+            ord_var = _fresh_ord(self._ords)
+            branches = [
+                self._compile(child, schema + (ord_var,), certain, possible, list(pending))
+                for child in (node.left, node.right)
+            ]
+            return (
+                VecUnionOp(ctx, schema, [branch[0] for branch in branches], ord_var),
+                sum(max(branch[1], 0.0) for branch in branches),
+                certain | (branches[0][2] & branches[1][2]),
+                possible | branches[0][3] | branches[1][3],
             )
         if isinstance(node, AlgebraProject):
-            child, c_out, p_out = self._compile(node.child, certain, possible, pending)
+            child, est, c_out, p_out = self._compile(node.child, schema, certain, possible, pending)
             projection = frozenset(node.projection)
             return (
-                ProjectOp(node.projection, child),
+                VecProjectOp(ctx, child, node.projection),
+                est,
                 c_out & projection,
                 p_out & projection,
             )
         if isinstance(node, AlgebraDistinct):
-            child, c_out, p_out = self._compile(node.child, certain, possible, pending)
-            return DistinctOp(child), c_out, p_out
+            child, est, c_out, p_out = self._compile(node.child, schema, certain, possible, pending)
+            return VecDistinctOp(ctx, child), est, c_out, p_out
         if isinstance(node, AlgebraOrderBy):
-            child, c_out, p_out = self._compile(node.child, certain, possible, pending)
-            return OrderByOp(node.conditions, child, self._graph), c_out, p_out
+            child, est, c_out, p_out = self._compile(node.child, schema, certain, possible, pending)
+            return VecOrderByOp(ctx, child, node.conditions), est, c_out, p_out
         if isinstance(node, AlgebraSlice):
-            child, c_out, p_out = self._compile(node.child, certain, possible, pending)
-            return SliceOp(node.offset, node.limit, child), c_out, p_out
+            child, est, c_out, p_out = self._compile(node.child, schema, certain, possible, pending)
+            if node.limit is not None:
+                est = min(est, float(node.limit))
+            return VecSliceOp(ctx, child, node.offset, node.limit), est, c_out, p_out
         raise TypeError(f"cannot compile algebra node: {node!r}")
 
     def _compile_bgp(
         self,
         node: AlgebraBGP,
+        schema: Schema,
         certain: frozenset,
         possible: frozenset,
         pending: list[Expression],
-    ) -> tuple[PhysicalOperator, frozenset, frozenset]:
+    ) -> _Compiled:
         ordered = order_patterns(node.patterns, set(certain), self._estimator)
         bound = set(certain)
         remaining = list(pending)
-        steps: list[_ScanStep] = []
+        steps: list[_VecStep] = []
         for pattern in ordered:
             est = self._estimator.pattern_estimate(pattern, bound)
             bound |= _binding_variables(pattern)
@@ -738,25 +378,27 @@ class QueryPlanner:
                 else:
                     still_pending.append(expr)
             remaining = still_pending
-            steps.append(_ScanStep(pattern, attached, est))
+            steps.append(_VecStep(pattern, attached, est))
         # Whatever could not be pushed runs at the end of the chain — the
         # original FILTER position, so semantics are unchanged.
-        op = BGPScanOp(self._graph, steps, remaining)
+        op = VecBGPOp(self._ctx, schema, steps, remaining, adaptive=self._ctx.config.adaptive)
         bgp_vars = frozenset(bound) - certain
-        return op, certain | bgp_vars, possible | bgp_vars
+        return op, op.est, certain | bgp_vars, possible | bgp_vars
 
     def _compile_join(
         self,
         node: AlgebraJoin,
+        schema: Schema,
         certain: frozenset,
         possible: frozenset,
         pending: list[Expression],
-    ) -> tuple[PhysicalOperator, frozenset, frozenset]:
+    ) -> _Compiled:
+        ctx = self._ctx
         left_static_certain = certain_variables(node.left) | certain
         push_left = [expr for expr in pending if expr.variables() <= left_static_certain]
         rest = [expr for expr in pending if expr not in push_left]
-        left_op, left_certain, left_possible = self._compile(
-            node.left, certain, possible, push_left
+        left_op, left_est, left_certain, left_possible = self._compile(
+            node.left, schema, certain, possible, push_left
         )
 
         right_certain_static = frozenset(certain_variables(node.right))
@@ -768,88 +410,71 @@ class QueryPlanner:
             and shared <= right_certain_static
         )
         if hash_safe:
-            right_alone, _, _ = self._compile(node.right, frozenset(), frozenset(), [])
+            # The build side runs against an empty input (that is what makes
+            # the hash join safe), so it is planned against the empty schema.
+            _, right_alone_est, _, _ = self._compile(
+                node.right, (), frozenset(), frozenset(), []
+            )
             hash_worthwhile = (
-                left_op.est > 1.5
-                and right_alone.est <= _HASH_BUILD_CEILING
-                and right_alone.est <= max(10_000.0, left_op.est * 100.0)
+                left_est > 1.5
+                and right_alone_est <= _HASH_BUILD_CEILING
+                and right_alone_est <= max(10_000.0, left_est * 100.0)
             )
             if hash_worthwhile:
                 push_right = [
                     expr for expr in rest if expr.variables() <= right_certain_static
                 ]
                 leftover = [expr for expr in rest if expr not in push_right]
-                right_op, right_certain, right_possible = self._compile(
-                    node.right, frozenset(), frozenset(), push_right
+                right_op, right_est, right_certain, right_possible = self._compile(
+                    node.right, (), frozenset(), frozenset(), push_right
                 )
-                op: PhysicalOperator = HashJoinOp(left_op, right_op, sorted(shared, key=str))
+                op: VecOperator = VecHashJoinOp(
+                    ctx, left_op, right_op, sorted(shared, key=str)
+                )
+                est = max(left_est, 0.0) * max(right_est, 0.0) * 0.1
                 if leftover:
-                    op = FilterOp(leftover, op, self._graph)
+                    op, est = _filtered(ctx, op, est, leftover)
                 return (
                     op,
+                    est,
                     left_certain | right_certain,
                     left_possible | right_possible,
                 )
 
-        right_op, right_certain, right_possible = self._compile(
-            node.right, left_certain, left_possible, rest
+        right_op, right_est, right_certain, right_possible = self._compile(
+            node.right, left_op.schema, left_certain, left_possible, rest
         )
-        return PipelineJoinOp(left_op, right_op), right_certain, right_possible
+        return (
+            VecBindJoinOp(ctx, left_op, right_op),
+            max(left_est, 0.0) * max(right_est, 0.0),
+            right_certain,
+            right_possible,
+        )
 
     def _compile_leftjoin(
         self,
         node: AlgebraLeftJoin,
+        schema: Schema,
         certain: frozenset,
         possible: frozenset,
         pending: list[Expression],
-    ) -> tuple[PhysicalOperator, frozenset, frozenset]:
+    ) -> _Compiled:
+        ctx = self._ctx
         left_static_certain = certain_variables(node.left) | certain
         push_left = [expr for expr in pending if expr.variables() <= left_static_certain]
         rest = [expr for expr in pending if expr not in push_left]
-        left_op, left_certain, left_possible = self._compile(
-            node.left, certain, possible, push_left
+        left_op, left_est, left_certain, left_possible = self._compile(
+            node.left, schema, certain, possible, push_left
         )
-        right_op, _, right_possible = self._compile(
-            node.right, left_certain, left_possible, []
+        ord_var = _fresh_ord(self._ords)
+        right_op, _, _, right_possible = self._compile(
+            node.right, left_op.schema + (ord_var,), left_certain, left_possible, []
         )
-        op: PhysicalOperator = LeftJoinOp(left_op, right_op, node.expression, self._graph)
+        left_join = VecLeftJoinOp(ctx, left_op.schema, right_op, node.expression, ord_var)
+        op: VecOperator = VecBindJoinOp(ctx, left_op, left_join)
+        est = max(left_est, 1.0)
         if rest:
             # A FILTER above an OPTIONAL also constrains the unextended
             # fallback rows, so it cannot move below the left join.
-            op = FilterOp(rest, op, self._graph)
-        return op, left_certain, left_possible | right_possible
-
-
-class QueryPlan:
-    """A compiled physical plan, ready for streaming execution."""
-
-    def __init__(self, query: Query, root: PhysicalOperator, graph) -> None:
-        self.query = query
-        self.root = root
-        self._graph = graph
-
-    def execute(self) -> Iterator[Binding]:
-        """Stream the plan's solutions (top-level evaluation, empty input)."""
-        self.root.reset()
-        return self.root.run(iter((Binding(),)))
-
-    def explain(self) -> str:
-        """EXPLAIN-style rendering of the operator tree with estimates."""
-        form = type(self.query).__name__.replace("Query", "").upper()
-        size = len(self._graph) if hasattr(self._graph, "__len__") else "?"
-        header = f"plan for {form} query over graph with {size} triples"
-        return "\n".join([header] + self.root.explain_lines(0))
-
-
-def plan_query(query: Query, graph) -> QueryPlan:
-    """Module-level convenience: compile ``query`` into a plan for ``graph``."""
-    return QueryPlanner(graph).plan(query)
-
-
-def explain_query(query, graph) -> str:
-    """The EXPLAIN text for ``query`` over ``graph`` (accepts query text)."""
-    from .parser import parse_query
-
-    if isinstance(query, str):
-        query = parse_query(query)
-    return plan_query(query, graph).explain()
+            op, est = _filtered(ctx, op, est, rest)
+        return op, est, left_certain, left_possible | right_possible

@@ -9,7 +9,7 @@ Three layers of coverage:
   tombstoned deletes, compaction, corruption handling, and the I/O
   accounting that proves queries don't read the whole file;
 * the redesigned construction API — ``Graph(store=...)``, ``Graph.load``,
-  ``open_graph``/``open_store`` and the ``ReadOnlyGraphView`` shim.
+  ``open_graph``/``open_store`` and ``GraphView``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.rdf import (
     GraphView,
     Literal,
     MemoryStore,
-    ReadOnlyGraphView,
     SegmentStore,
     Store,
     StoreError,
@@ -436,13 +435,6 @@ class TestGraphApi:
         reopened = open_graph(tmp_path / "store")
         assert Triple(u("a"), u("p"), u("b")) in reopened
         reopened.close()
-
-    def test_readonly_view_shim_warns_once_per_construction(self):
-        graph = Graph(triples=sample_triples())
-        with pytest.warns(DeprecationWarning, match="GraphView"):
-            view = ReadOnlyGraphView(graph)
-        assert isinstance(view, GraphView)
-        assert len(view) == len(graph)
 
     def test_graph_view_does_not_warn(self, recwarn):
         GraphView(Graph())

@@ -8,8 +8,8 @@ fixture next to it:
   isomorphism).
 
 Every case executes through EVERY evaluation engine — the batched naive
-and planner paths plus the dict-at-a-time reference evaluator and the
-legacy streaming planner operators — and each must match the fixture.
+and planner paths plus the dict-at-a-time reference evaluator — and each
+must match the fixture.
 The queried data is ``data/default.ttl`` unless the case ships a
 ``<name>.data.ttl`` override.
 
@@ -26,6 +26,7 @@ label is an implementation artefact).
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,20 @@ def test_conformance_case(name: str, engine: str, backend: str, tmp_path: Path) 
     query = parse_query((CASES_DIR / f"{name}.rq").read_text(encoding="utf-8"))
     evaluator = QueryEvaluator(graph, engine=engine)
     _check(evaluator.evaluate(query), _expected_fixture(name))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_explain_matches_analyzed_plan(name: str, engine: str) -> None:
+    """EXPLAIN shows exactly the operator tree EXPLAIN ANALYZE runs."""
+    graph = _load_case_graph(name)
+    query = parse_query((CASES_DIR / f"{name}.rq").read_text(encoding="utf-8"))
+    evaluator = QueryEvaluator(graph, engine=engine)
+    explained = evaluator.explain(query).splitlines()
+    _, event = evaluator.analyze(query)
+    analyzed = [re.sub(r"  \(rows .*\)$", "", line) for line in event.plan.splitlines()]
+    assert explained[0].startswith(f"plan for {type(query).__name__[:-5].upper()} query")
+    assert explained[1:] == analyzed
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)

@@ -269,15 +269,40 @@ class TestAnalyze:
 
     @pytest.mark.parametrize(("engine", "batched"), [
         ("reference", "naive"),
-        ("streaming", "planner"),
     ])
     def test_legacy_engines_analyze_via_batched_equivalent(self, engine, batched):
-        # The oracles have no batched instrumentation; analyze falls back
-        # to the batched engine that mirrors their plan shape.
+        # The oracle has no batched instrumentation; analyze falls back to
+        # the batched engine that mirrors its plan shape.
         evaluator = QueryEvaluator(_chain_graph(2), engine=engine)
         result, event = evaluator.analyze("SELECT ?s WHERE { ?s ?p ?o }")
         assert len(result) == 2
         assert event.engine == batched
+
+
+class TestExplain:
+    """EXPLAIN renders the plan EXPLAIN ANALYZE would run, unexecuted."""
+
+    def test_provably_empty_query_explains_as_the_prune_it_runs(self):
+        evaluator = QueryEvaluator(_chain_graph(3))
+        query = "SELECT ?s WHERE { ?s <http://example.org/next> ?o FILTER(false) }"
+        text = evaluator.explain(query)
+        assert text.splitlines()[1].startswith("AnalysisPrune[")
+        assert "BGPScan" not in text
+        _, event = evaluator.analyze(query)
+        assert event.plan.startswith("AnalysisPrune[")
+
+    def test_explain_follows_the_engine(self):
+        graph = _chain_graph(3)
+        query = (
+            "SELECT ?s WHERE { ?s <http://example.org/next> ?o "
+            "FILTER(?o != <http://example.org/a1>) }"
+        )
+        planned = QueryEvaluator(graph, engine="planner").explain(query)
+        naive = QueryEvaluator(graph, engine="naive").explain(query)
+        # The planner pushes the FILTER into the scan; the naive engine
+        # applies it at the end of its group, over a non-adaptive scan.
+        assert "[filter" in planned and "adaptive" in planned
+        assert "Filter [" in naive and "adaptive" not in naive
 
 
 # --------------------------------------------------------------------------- #
@@ -313,10 +338,6 @@ class TestEngineSelection:
     def test_unknown_engine_is_rejected(self):
         with pytest.raises(ValueError):
             QueryEvaluator(Graph(), engine="turbo")
-
-    def test_use_planner_flag_maps_onto_engines(self):
-        assert QueryEvaluator(Graph(), use_planner=True).engine == "planner"
-        assert QueryEvaluator(Graph(), use_planner=False).engine == "naive"
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_every_engine_answers_a_basic_query(self, engine):

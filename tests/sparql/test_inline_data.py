@@ -8,7 +8,7 @@ same solutions under the naive evaluator and the planner.
 
 import pytest
 
-from repro.rdf import Graph, Literal, Triple, URIRef, Variable, XSD
+from repro.rdf import Graph, Literal, SegmentStore, Triple, URIRef, Variable, XSD
 from repro.sparql import (
     InlineData,
     QueryEvaluator,
@@ -94,9 +94,9 @@ class TestRoundTrip:
 
 
 class TestEvaluation:
-    @pytest.mark.parametrize("use_planner", [True, False])
-    def test_values_restricts_bgp(self, use_planner):
-        result = QueryEvaluator(_graph(), use_planner=use_planner).evaluate(
+    @pytest.mark.parametrize("engine", ["planner", "naive"])
+    def test_values_restricts_bgp(self, engine):
+        result = QueryEvaluator(_graph(), engine=engine).evaluate(
             parse_query(
                 "PREFIX ex: <http://ex.org/>\n"
                 "SELECT ?s ?o WHERE { VALUES ?s { ex:s1 ex:s3 } ?s ex:p ?o }"
@@ -107,9 +107,9 @@ class TestEvaluation:
             (("o", f"{EX}o3"), ("s", f"{EX}s3")),
         ]
 
-    @pytest.mark.parametrize("use_planner", [True, False])
-    def test_undef_leaves_column_unconstrained(self, use_planner):
-        result = QueryEvaluator(_graph(3), use_planner=use_planner).evaluate(
+    @pytest.mark.parametrize("engine", ["planner", "naive"])
+    def test_undef_leaves_column_unconstrained(self, engine):
+        result = QueryEvaluator(_graph(3), engine=engine).evaluate(
             parse_query(
                 "PREFIX ex: <http://ex.org/>\n"
                 "SELECT ?s ?o WHERE {"
@@ -124,15 +124,15 @@ class TestEvaluation:
             (("o", f"{EX}o2"), ("s", f"{EX}s2")),
         ]
 
-    @pytest.mark.parametrize("use_planner", [True, False])
-    def test_values_after_patterns_joins_identically(self, use_planner):
-        before = QueryEvaluator(_graph(), use_planner=use_planner).evaluate(
+    @pytest.mark.parametrize("engine", ["planner", "naive"])
+    def test_values_after_patterns_joins_identically(self, engine):
+        before = QueryEvaluator(_graph(), engine=engine).evaluate(
             parse_query(
                 "PREFIX ex: <http://ex.org/>\n"
                 "SELECT ?s ?o WHERE { VALUES ?s { ex:s2 } ?s ex:p ?o }"
             )
         )
-        after = QueryEvaluator(_graph(), use_planner=use_planner).evaluate(
+        after = QueryEvaluator(_graph(), engine=engine).evaluate(
             parse_query(
                 "PREFIX ex: <http://ex.org/>\n"
                 "SELECT ?s ?o WHERE { ?s ex:p ?o VALUES ?s { ex:s2 } }"
@@ -140,9 +140,9 @@ class TestEvaluation:
         )
         assert _rows(before) == _rows(after)
 
-    @pytest.mark.parametrize("use_planner", [True, False])
-    def test_values_with_filter(self, use_planner):
-        result = QueryEvaluator(_graph(), use_planner=use_planner).evaluate(
+    @pytest.mark.parametrize("engine", ["planner", "naive"])
+    def test_values_with_filter(self, engine):
+        result = QueryEvaluator(_graph(), engine=engine).evaluate(
             parse_query(
                 "PREFIX ex: <http://ex.org/>\n"
                 "SELECT ?s ?n WHERE {"
@@ -153,9 +153,9 @@ class TestEvaluation:
         assert [b.get_term("n").lexical for b in result] is not None
         assert {str(b.get_term("s")) for b in result} == {f"{EX}s2", f"{EX}s4"}
 
-    @pytest.mark.parametrize("use_planner", [True, False])
-    def test_empty_table_produces_no_solutions(self, use_planner):
-        result = QueryEvaluator(_graph(), use_planner=use_planner).evaluate(
+    @pytest.mark.parametrize("engine", ["planner", "naive"])
+    def test_empty_table_produces_no_solutions(self, engine):
+        result = QueryEvaluator(_graph(), engine=engine).evaluate(
             parse_query(
                 "PREFIX ex: <http://ex.org/>\n"
                 "SELECT ?s WHERE { VALUES ?s { } ?s ex:p ?o }"
@@ -171,6 +171,47 @@ class TestEvaluation:
             "PREFIX ex: <http://ex.org/>\nSELECT ?s ?n WHERE { VALUES ?n { 1 3 } ?s ex:size ?n } ORDER BY ?s",
         ]
         for text in queries:
-            planned = QueryEvaluator(graph, use_planner=True).evaluate(parse_query(text))
-            naive = QueryEvaluator(graph, use_planner=False).evaluate(parse_query(text))
+            planned = QueryEvaluator(graph, engine="planner").evaluate(parse_query(text))
+            naive = QueryEvaluator(graph, engine="naive").evaluate(parse_query(text))
             assert _rows(planned) == _rows(naive), text
+
+
+class TestReadsDoNotWriteTheStore:
+    """VALUES terms the store has never seen get query-local ids: compiling
+    and running a read leaves the persisted term dictionary untouched."""
+
+    SELECT = (
+        "PREFIX ex: <http://ex.org/>\n"
+        "SELECT ?s ?o WHERE { VALUES ?s { ex:s0 ex:unseen1 ex:unseen2 } "
+        "OPTIONAL { ?s ex:p ?o } }"
+    )
+    ASK = "PREFIX ex: <http://ex.org/>\nASK { VALUES ?s { ex:unseen1 } ?s ex:p ?o }"
+
+    @pytest.mark.parametrize("engine", ["planner", "naive"])
+    def test_unseen_values_terms_are_not_persisted(self, engine, tmp_path):
+        graph = Graph(store=SegmentStore(tmp_path / "store"))
+        graph.add_all(_graph(3))
+        graph.flush()
+        log = tmp_path / "store" / "terms.jsonl"
+        logged = log.read_bytes()
+        known_terms = len(graph.dictionary.terms)
+        evaluator = QueryEvaluator(graph, engine=engine)
+
+        result = evaluator.select(self.SELECT)
+        assert {(row["s"], row.get_term(Variable("o"))) for row in result} == {
+            (URIRef(EX + "s0"), URIRef(EX + "o0")),
+            (URIRef(EX + "unseen1"), None),
+            (URIRef(EX + "unseen2"), None),
+        }
+        assert not evaluator.evaluate(self.ASK)
+        for text in (self.SELECT, self.ASK):
+            assert "Table (?s)" in evaluator.explain(text)
+        analyzed, event = evaluator.analyze(self.SELECT)
+        assert URIRef(EX + "unseen2") in {row["s"] for row in analyzed}
+        assert event.rows == 3
+        _, event = evaluator.analyze(self.ASK)
+        assert event.rows == 0
+
+        assert log.read_bytes() == logged
+        assert len(graph.dictionary.terms) == known_terms
+        graph.close()

@@ -1,17 +1,12 @@
-"""Unit tests for the cost-based planner and streaming execution."""
+"""Unit tests for the cost-based planner and its batched plans."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.rdf import Graph, Literal, Triple, URIRef, Variable
-from repro.sparql import (
-    QueryEvaluator,
-    explain_query,
-    ordered_bgp_patterns,
-    parse_query,
-    plan_query,
-)
+from repro.sparql import QueryEvaluator, ordered_bgp_patterns, parse_query
+from repro.sparql.exec import ExecContext, VecBGPOp, VecHashJoinOp, _VecStep, seed_batches
 from repro.sparql.plan import CardinalityEstimator, order_patterns
 from repro.sparql.results import Binding
 
@@ -125,14 +120,13 @@ def test_connected_patterns_avoid_cross_products(graph: Graph) -> None:
 # Filter pushdown
 # --------------------------------------------------------------------------- #
 def test_filter_pushed_to_earliest_scan(graph: Graph) -> None:
-    text = explain_query(
+    text = QueryEvaluator(graph).explain(
         PREFIX + """
         SELECT ?p WHERE {
           ?p ex:name ?n .
           ?p ex:leads ?t .
           FILTER (?n != "name000")
-        }""",
-        graph,
+        }"""
     )
     lines = [line.strip() for line in text.splitlines()]
     name_scan = next(line for line in lines if "/name>" in line and line.startswith("scan"))
@@ -146,26 +140,26 @@ def test_unbound_filter_not_pushed_below_optional(graph: Graph) -> None:
       OPTIONAL { ?p ex:leads ?t }
       FILTER (!BOUND(?t))
     }"""
-    text = explain_query(query, graph)
+    text = QueryEvaluator(graph).explain(query)
     # The !BOUND filter must sit above the LeftJoin, not inside a scan.
     assert "Filter [!BOUND(?t)]" in text, text
     result = QueryEvaluator(graph).select(query)
-    naive = QueryEvaluator(graph, use_planner=False).select(query)
+    naive = QueryEvaluator(graph, engine="naive").select(query)
     assert sorted(b["p"] for b in result) == sorted(b["p"] for b in naive)
     assert len(result) == 97
 
 
 # --------------------------------------------------------------------------- #
-# Streaming / early termination
+# Early termination
 # --------------------------------------------------------------------------- #
 def test_limit_stops_scanning_early(graph: Graph) -> None:
     counting = CountingGraph(graph)
     query = parse_query(PREFIX + "SELECT ?p ?n WHERE { ?p ex:type ex:Person . ?p ex:name ?n } LIMIT 2")
-    rows = list(plan_query(query, counting).execute())
+    rows = QueryEvaluator(counting).select(query)
     assert len(rows) == 2
     # 100 persons in the graph; a materialising evaluator would do >= 101
-    # index lookups (one enumeration + one per person).  The streaming plan
-    # pulls only what LIMIT needs.
+    # index lookups (one enumeration + one per person).  The plan's small
+    # first batches pull only what LIMIT needs.
     assert counting.lookups <= 10
 
 
@@ -189,49 +183,55 @@ def test_hash_join_used_for_safe_shared_variable_join(graph: Graph) -> None:
       { ?p ex:name ?n . ?p ex:type ex:Person }
       { ?p ex:leads ?t . FILTER (?t != ex:team99) }
     }"""
-    text = explain_query(query, graph)
+    text = QueryEvaluator(graph).explain(query)
     assert "HashJoin on (?p)" in text, text
     planned = QueryEvaluator(graph).select(query)
-    naive = QueryEvaluator(graph, use_planner=False).select(query)
+    naive = QueryEvaluator(graph, engine="naive").select(query)
     assert sorted(map(repr, planned)) == sorted(map(repr, naive))
     assert len(planned) == 3
 
 
 def test_hash_join_builds_once_across_correlated_runs(graph: Graph) -> None:
-    from repro.sparql.plan import BGPScanOp, HashJoinOp, _ScanStep
-
     counting = CountingGraph(graph)
-    left = BGPScanOp(counting, [_ScanStep(Triple(Variable("p"), u("name"), Variable("n")), [], 100.0)], [])
-    right = BGPScanOp(counting, [_ScanStep(Triple(Variable("p"), u("leads"), Variable("t")), [], 3.0)], [])
-    join = HashJoinOp(left, right, [Variable("p")])
+    ctx = ExecContext(counting)
+
+    def scan(predicate: str, est: float) -> VecBGPOp:
+        step = _VecStep(Triple(Variable("p"), u(predicate), Variable("x" + predicate)), [], est)
+        return VecBGPOp(ctx, (), [step], [])
+
+    join = VecHashJoinOp(ctx, scan("name", 100.0), scan("leads", 3.0), [Variable("p")])
+
+    def run() -> list:
+        return [row for batch in join.execute(seed_batches()) for row in batch.rows]
 
     join.reset()
     baseline = counting.lookups
-    # A correlated parent re-runs the join once per outer binding; the
-    # build side must be scanned only on the first run.
-    first = list(join.run(iter((Binding(),))))
+    # A correlated parent re-runs the join once per input batch; the build
+    # side must be scanned only on the first run.
+    first = run()
+    assert len(first) == 3
     after_first = counting.lookups
     for _ in range(5):
-        assert list(join.run(iter((Binding(),)))) == first
+        assert run() == first
     assert counting.lookups == after_first + 5  # one probe-side lookup per run
     assert after_first - baseline == 2  # probe + one-time build
 
     # A new execution (reset) rebuilds against possibly mutated data.
     join.reset()
-    list(join.run(iter((Binding(),))))
+    run()
     assert counting.lookups == after_first + 5 + 2
 
 
 def test_adjacent_bgps_coalesce_into_one_scan_chain(graph: Graph) -> None:
-    text = explain_query(
-        PREFIX + "SELECT * WHERE { { ?p ex:name ?n } { ?p ex:leads ?t } }", graph
+    text = QueryEvaluator(graph).explain(
+        PREFIX + "SELECT * WHERE { { ?p ex:name ?n } { ?p ex:leads ?t } }"
     )
     assert "Join" not in text
     assert text.count("scan (") == 2
 
 
 def test_explain_mentions_estimates_and_form(graph: Graph) -> None:
-    text = explain_query(PREFIX + "SELECT ?p WHERE { ?p ex:leads ?t } LIMIT 1", graph)
+    text = QueryEvaluator(graph).explain(PREFIX + "SELECT ?p WHERE { ?p ex:leads ?t } LIMIT 1")
     assert text.startswith("plan for SELECT query")
     assert "est=3.0" in text
     assert "Slice" in text
@@ -254,5 +254,5 @@ def test_plans_work_without_statistics() -> None:
     g.add(Triple(u("a"), u("p"), u("b")))
     bare = BareGraph(g)
     query = parse_query(PREFIX + "SELECT ?x WHERE { ex:a ex:p ?x }")
-    rows = list(plan_query(query, bare).execute())
-    assert len(rows) == 1
+    rows = QueryEvaluator(bare).select(query)
+    assert [row["x"] for row in rows] == [u("b")]

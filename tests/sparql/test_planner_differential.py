@@ -2,8 +2,8 @@
 
 Random small graphs are queried with random BGP / OPTIONAL / UNION /
 FILTER combinations through every evaluation engine — the batched
-planner and naive paths, the legacy streaming planner operators, and
-the dict-at-a-time reference evaluator as the oracle; the solution
+planner and naive paths, and the dict-at-a-time reference evaluator as
+the oracle; the solution
 multisets must be identical across all of them.  This is the regression
 net for the vectorized executor, join reordering, hash vs. bind join
 selection and filter pushdown: any transformation that drops, duplicates
