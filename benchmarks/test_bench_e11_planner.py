@@ -20,6 +20,7 @@ batched-vs-reference comparison on unrestricted multi-joins.)
 
 from __future__ import annotations
 
+from dataclasses import replace
 from time import perf_counter
 
 from repro.rdf import Graph, Literal, RDF, Triple, URIRef
@@ -63,8 +64,7 @@ def build_graph(n_entities: int) -> Graph:
 
 def _parse(text: str, limit) -> object:
     query = parse_query(text)
-    query.modifiers.limit = limit
-    return query
+    return replace(query, modifiers=replace(query.modifiers, limit=limit))
 
 
 def _time(evaluator: QueryEvaluator, query, repetitions: int = 3) -> float:

@@ -18,7 +18,7 @@ def test_bench_e1_parse_figure1(benchmark):
 
     assert isinstance(query, SelectQuery)
     assert query.modifiers.distinct
-    assert query.projection == [Variable("a")]
+    assert query.projection == (Variable("a"),)
 
     patterns = query.all_triple_patterns()
     assert len(patterns) == 2

@@ -23,7 +23,6 @@ from .rewriter import (
     RewriteError,
     RewriteReport,
     TripleRewrite,
-    clone_query,
     extend_prologue,
     instantiate_functions,
 )
@@ -53,7 +52,6 @@ __all__ = [
     # rewriting
     "RewriteError", "FreshVariableGenerator", "TripleRewrite", "RewriteReport",
     "instantiate_functions", "extend_prologue", "GraphPatternRewriter", "QueryRewriter",
-    "clone_query",
     # extensions
     "EqualityConstraint", "extract_equality_constraints", "promote_equality_constraints",
     "translate_expression_terms", "FilterAwareQueryRewriter", "AlgebraQueryRewriter",

@@ -18,6 +18,7 @@ compares.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import replace
 
 from ..alignment import EntityAlignment, FunctionRegistry
 from ..coreference import SameAsService
@@ -34,7 +35,6 @@ from .rewriter import (
     FreshVariableGenerator,
     GraphPatternRewriter,
     RewriteReport,
-    clone_query,
     extend_prologue,
 )
 
@@ -66,14 +66,14 @@ class AlgebraQueryRewriter:
         self, node: AlgebraNode, fresh: FreshVariableGenerator
     ) -> tuple[AlgebraNode, RewriteReport]:
         """Rewrite an algebra tree bottom-up; returns (new tree, report)."""
-        report = RewriteReport()
+        reports: list[RewriteReport] = []
 
         def transform(current: AlgebraNode) -> AlgebraNode | None:
             if isinstance(current, AlgebraBGP):
                 new_patterns, block_report = self._pattern_rewriter.rewrite_bgp(
                     current.patterns, fresh
                 )
-                report.merge(block_report)
+                reports.append(block_report)
                 return AlgebraBGP(new_patterns)
             if isinstance(current, AlgebraFilter) and self._service is not None \
                     and self._target_uri_pattern is not None:
@@ -83,7 +83,8 @@ class AlgebraQueryRewriter:
                 return AlgebraFilter(translated, current.child)
             return None
 
-        return node.transform(transform), report
+        rewritten = node.transform(transform)
+        return rewritten, RewriteReport.concat(reports)
 
     def rewrite(self, query: Query) -> tuple[Query, RewriteReport]:
         """Rewrite a query via its algebra form.
@@ -92,13 +93,13 @@ class AlgebraQueryRewriter:
         rewritten pattern-level algebra; the result form and solution
         modifiers are kept from the original query.
         """
-        rewritten = clone_query(query)
-        fresh = FreshVariableGenerator(rewritten.variables())
-        pattern_algebra = translate_group(rewritten.where)
-        new_algebra, report = self.rewrite_algebra(pattern_algebra, fresh)
-        rewritten.where = algebra_to_group(new_algebra)
-
-        extend_prologue(rewritten.prologue, report, self._extra_prefixes)
+        fresh = FreshVariableGenerator(query.variables())
+        new_algebra, report = self.rewrite_algebra(translate_group(query.where), fresh)
+        rewritten = replace(
+            query,
+            prologue=extend_prologue(query.prologue, report, self._extra_prefixes),
+            where=algebra_to_group(new_algebra),
+        )
         return rewritten, report
 
     def rewrite_to_text(self, query: Query) -> str:

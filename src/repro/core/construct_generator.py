@@ -35,7 +35,7 @@ from collections.abc import Iterable, Sequence
 
 from ..alignment import EntityAlignment
 from ..coreference import SameAsService
-from ..rdf import BNode, Graph, Term, URIRef, Variable
+from ..rdf import BNode, Graph, NamespaceManager, Term, URIRef, Variable
 from ..sparql import ConstructQuery, GroupGraphPattern, Prologue, QueryEvaluator, TriplesBlock
 
 __all__ = [
@@ -75,9 +75,9 @@ def construct_query_for_alignment(
     reported as *deferred*: their URIs still live in the source URI space
     until :func:`translate_graph_uris` is applied.
     """
-    prologue = Prologue()
+    manager = NamespaceManager(install_defaults=False)
     for prefix, namespace in (prefixes or {}).items():
-        prologue.bind(prefix, namespace)
+        manager.bind(prefix, namespace)
 
     # Map FD-produced variables onto the variable they are computed from,
     # when that variable occurs in the LHS (the sameas(?x, re) shape).
@@ -105,7 +105,7 @@ def construct_query_for_alignment(
 
     template = [pattern.map_terms(resolve) for pattern in alignment.rhs]
     where = GroupGraphPattern([TriplesBlock([alignment.lhs])])
-    query = ConstructQuery(prologue, template, where)
+    query = ConstructQuery(Prologue(manager), template, where)
     return GeneratedConstruct(
         alignment=alignment,
         query=query,

@@ -22,14 +22,15 @@ This module implements the two complementary remedies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from collections.abc import Sequence
 
 from ..alignment import EntityAlignment, FunctionRegistry
 from ..coreference import SameAsService
 from ..rdf import Literal, Term, URIRef, Variable
-from ..sparql import BinaryExpression, Expression, Query, TermExpression, VariableExpression
-from .rewriter import QueryRewriter, RewriteReport, clone_query
+from ..sparql import (BinaryExpression, Expression, Filter, PatternElement, Query,
+                      TermExpression, TriplesBlock, VariableExpression, rebuild_group)
+from .rewriter import QueryRewriter, RewriteReport
 
 __all__ = [
     "EqualityConstraint",
@@ -99,7 +100,7 @@ def _expression_ground_term(expression: Expression) -> Term | None:
 
 
 def promote_equality_constraints(query: Query) -> tuple[Query, list[EqualityConstraint]]:
-    """Return a copy of ``query`` with FILTER equalities folded into the BGPs.
+    """Return ``query`` with FILTER equalities folded into the BGPs.
 
     For every triple pattern mentioning a constrained variable, a
     *specialised copy* with the variable replaced by the ground term is
@@ -107,14 +108,14 @@ def promote_equality_constraints(query: Query) -> tuple[Query, list[EqualityCons
     are kept, so the solution set is unchanged (the added pattern is implied
     by the FILTER); the specialised copy simply exposes the ground value to
     the rewriting algorithm — in particular to ``sameas`` functional
-    dependencies that only fire on ground URIs.
+    dependencies that only fire on ground URIs.  A query without such
+    constraints is returned as it is.
     """
-    promoted = clone_query(query)
     constraints: list[EqualityConstraint] = []
-    for filter_element in promoted.filters():
+    for filter_element in query.filters():
         constraints.extend(extract_equality_constraints(filter_element.expression))
     if not constraints:
-        return promoted, []
+        return query, []
 
     replacement: dict[Variable, Term] = {}
     for constraint in constraints:
@@ -127,14 +128,17 @@ def promote_equality_constraints(query: Query) -> tuple[Query, list[EqualityCons
             return replacement.get(term, term)
         return term
 
-    for block in promoted.triples_blocks():
+    def specialise(element: PatternElement) -> PatternElement:
+        if not isinstance(element, TriplesBlock):
+            return element
         specialised = []
-        for pattern in block.patterns:
+        for pattern in element.patterns:
             copy = pattern.map_terms(substitute)
-            if copy != pattern and copy not in block.patterns and copy not in specialised:
+            if copy != pattern and copy not in element.patterns and copy not in specialised:
                 specialised.append(copy)
-        block.patterns.extend(specialised)
-    return promoted, constraints
+        return replace(element, patterns=element.patterns + tuple(specialised))
+
+    return replace(query, where=rebuild_group(query.where, specialise)), constraints
 
 
 def translate_expression_terms(
@@ -189,10 +193,15 @@ class FilterAwareQueryRewriter:
         """Rewrite ``query``; returns (query, report, promoted constraints)."""
         promoted, constraints = promote_equality_constraints(query)
         rewritten, report = self._base_rewriter.rewrite(promoted)
-        for filter_element in rewritten.filters():
-            filter_element.expression = translate_expression_terms(
-                filter_element.expression, self._service, self._target_uri_pattern
-            )
+
+        def translate(element: PatternElement) -> PatternElement:
+            if not isinstance(element, Filter):
+                return element
+            return replace(element, expression=translate_expression_terms(
+                element.expression, self._service, self._target_uri_pattern
+            ))
+
+        rewritten = replace(rewritten, where=rebuild_group(rewritten.where, translate))
         return rewritten, report, constraints
 
     def rewrite_to_text(self, query: Query) -> str:

@@ -31,29 +31,12 @@ from ..sparql import Query, parse_query
 from .algebra_rewriter import AlgebraQueryRewriter
 from .filter_rewriter import FilterAwareQueryRewriter
 from .index import CompiledRuleSet
-from .rewriter import QueryRewriter, RewriteReport, TripleRewrite, clone_query
+from .rewriter import QueryRewriter, RewriteReport
 
 __all__ = ["TargetProfile", "MediationResult", "Mediator"]
 
 #: Upper bound on cached rewrite results (oldest entries evicted first).
 _RESULT_CACHE_LIMIT = 512
-
-
-def _copy_report(report: RewriteReport) -> RewriteReport:
-    """Report copy whose entries are safe for callers to mutate.
-
-    Trace entries are mutable dataclasses; sharing them between the cache
-    and returned results would let one caller's edit poison later hits.
-    Triples and substitutions are immutable, so copying stops there.
-    """
-    return RewriteReport(
-        [
-            TripleRewrite(entry.original, list(entry.produced),
-                          entry.alignment, entry.substitution)
-            for entry in report.rewrites
-        ],
-        report.function_calls,
-    )
 
 
 @dataclass(frozen=True)
@@ -219,8 +202,8 @@ class Mediator:
         Results are cached per (normalized query text, target dataset,
         source ontology, mode, strict, KB generation); any mutation of the
         alignment store or the sameas service invalidates the cache.
-        Cache hits return a fresh copy of the rewritten query, so callers
-        may mutate it freely.
+        The rewritten query and the report are immutable values, so a hit
+        returns the very objects the miss cached, without copying.
         """
         if isinstance(query, str):
             query = parse_query(query)
@@ -241,9 +224,9 @@ class Mediator:
             rewritten, report, considered = cached
             return MediationResult(
                 source_query=query,
-                rewritten_query=clone_query(rewritten),
+                rewritten_query=rewritten,
                 target=target,
-                report=_copy_report(report),
+                report=report,
                 alignments_considered=considered,
                 mode=mode,
             )
@@ -286,9 +269,9 @@ class Mediator:
 
         return MediationResult(
             source_query=query,
-            rewritten_query=clone_query(rewritten),
+            rewritten_query=rewritten,
             target=target,
-            report=_copy_report(report),
+            report=report,
             alignments_considered=len(ruleset),
             mode=mode,
         )

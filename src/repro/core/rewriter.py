@@ -22,13 +22,12 @@ Three layers are provided:
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from collections.abc import Iterable, Sequence
 
 from ..alignment import EntityAlignment, FunctionExecutionError, FunctionNotFound, FunctionRegistry
 from ..rdf import Term, Triple, Variable
-from ..sparql import ConstructQuery, Prologue, Query
+from ..sparql import PatternElement, Prologue, Query, TriplesBlock, rebuild_group
 from .matcher import MatchResult, Substitution, find_matches
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "extend_prologue",
     "GraphPatternRewriter",
     "QueryRewriter",
-    "clone_query",
 ]
 
 
@@ -76,12 +74,12 @@ class FreshVariableGenerator:
                 return Variable(candidate)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TripleRewrite:
     """Trace entry: how one input triple pattern was handled."""
 
     original: Triple
-    produced: list[Triple]
+    produced: tuple[Triple, ...]
     alignment: EntityAlignment | None = None
     substitution: Substitution | None = None
 
@@ -91,12 +89,22 @@ class TripleRewrite:
         return self.alignment is not None
 
 
-@dataclass
+@dataclass(frozen=True)
 class RewriteReport:
     """Summary of one BGP / query rewriting run."""
 
-    rewrites: list[TripleRewrite] = field(default_factory=list)
+    rewrites: tuple[TripleRewrite, ...] = ()
     function_calls: int = 0
+
+    @classmethod
+    def concat(cls, reports: Iterable[RewriteReport]) -> RewriteReport:
+        """One report covering ``reports`` (e.g. every BGP of a query), in order."""
+        rewrites: list[TripleRewrite] = []
+        calls = 0
+        for report in reports:
+            rewrites.extend(report.rewrites)
+            calls += report.function_calls
+        return cls(tuple(rewrites), calls)
 
     @property
     def matched_count(self) -> int:
@@ -121,11 +129,6 @@ class RewriteReport:
             if rewrite.alignment is not None and rewrite.alignment not in seen:
                 seen.append(rewrite.alignment)
         return seen
-
-    def merge(self, other: RewriteReport) -> None:
-        """Fold another report (e.g. from a different BGP) into this one."""
-        self.rewrites.extend(other.rewrites)
-        self.function_calls += other.function_calls
 
 
 # --------------------------------------------------------------------------- #
@@ -245,7 +248,7 @@ class GraphPatternRewriter:
             matches = find_matches(self._alignments, pattern)
             match, rule = (matches[0], None) if matches else (None, None)
         if match is None:
-            return TripleRewrite(original=pattern, produced=[pattern])
+            return TripleRewrite(original=pattern, produced=(pattern,))
         if rule is not None:
             substitution, _calls = rule.instantiate_functions(
                 match.substitution, self.registry, self.strict
@@ -257,7 +260,6 @@ class GraphPatternRewriter:
 
         # Step 4: bind all remaining free RHS variables to new variables so
         # the same alignment can be reused without over-constraining.
-        produced: list[Triple] = []
         local_fresh: dict[Variable, Variable] = {}
 
         def resolve(term: Term) -> Term:
@@ -274,11 +276,9 @@ class GraphPatternRewriter:
                 local_fresh[term] = fresh.fresh()
             return local_fresh[term]
 
-        for rhs_pattern in match.alignment.rhs:
-            produced.append(rhs_pattern.map_terms(resolve))
         return TripleRewrite(
             original=pattern,
-            produced=produced,
+            produced=tuple(rhs_pattern.map_terms(resolve) for rhs_pattern in match.alignment.rhs),
             alignment=match.alignment,
             substitution=substitution,
         )
@@ -300,26 +300,21 @@ class GraphPatternRewriter:
                 reserved |= pattern.variables()
             fresh = FreshVariableGenerator(reserved)
 
-        report = RewriteReport()
+        rewrites: list[TripleRewrite] = []
+        function_calls = 0
         result: list[Triple] = []
         for pattern in patterns:
             rewrite = self.rewrite_triple(pattern, fresh)
-            substitution = rewrite.substitution
-            if substitution is not None and rewrite.alignment is not None:
-                report.function_calls += len(rewrite.alignment.functional_dependencies)
-            report.rewrites.append(rewrite)
+            if rewrite.substitution is not None and rewrite.alignment is not None:
+                function_calls += len(rewrite.alignment.functional_dependencies)
+            rewrites.append(rewrite)
             result.extend(rewrite.produced)
-        return result, report
+        return result, RewriteReport(tuple(rewrites), function_calls)
 
 
 # --------------------------------------------------------------------------- #
 # Query-level rewriting
 # --------------------------------------------------------------------------- #
-def clone_query(query: Query) -> Query:
-    """Deep-copy a query AST so rewriting never mutates the input query."""
-    return copy.deepcopy(query)
-
-
 class QueryRewriter:
     """Rewrite whole SPARQL queries (SELECT / ASK / CONSTRUCT).
 
@@ -350,45 +345,48 @@ class QueryRewriter:
         return self._pattern_rewriter.registry
 
     def rewrite(self, query: Query) -> tuple[Query, RewriteReport]:
-        """Return the rewritten query (a new object) and the rewrite report."""
-        rewritten = clone_query(query)
-        fresh = FreshVariableGenerator(rewritten.variables())
-        report = RewriteReport()
+        """Return the rewritten query (a new object) and the rewrite report.
 
-        for block in rewritten.triples_blocks():
+        CONSTRUCT templates are part of the result form and are left
+        untouched: the rewriting targets where data is read from, not the
+        shape of what the query builds.
+        """
+        fresh = FreshVariableGenerator(query.variables())
+        reports: list[RewriteReport] = []
+
+        def rewrite_block(element: PatternElement) -> PatternElement:
+            if not isinstance(element, TriplesBlock):
+                return element
             new_patterns, block_report = self._pattern_rewriter.rewrite_bgp(
-                block.patterns, fresh
+                element.patterns, fresh
             )
-            block.patterns = new_patterns
-            report.merge(block_report)
+            reports.append(block_report)
+            return replace(element, patterns=new_patterns)
 
-        if isinstance(rewritten, ConstructQuery):
-            # CONSTRUCT templates are part of the result form and are left
-            # untouched: the rewriting targets where data is read from, not
-            # the shape of what the query builds.
-            pass
-
-        self._extend_prologue(rewritten.prologue, report)
-        return rewritten, report
+        where = rebuild_group(query.where, rewrite_block)
+        report = RewriteReport.concat(reports)
+        prologue = extend_prologue(query.prologue, report, self._extra_prefixes)
+        return replace(query, prologue=prologue, where=where), report
 
     def rewrite_to_text(self, query: Query) -> str:
         """Rewrite and serialise in one call (the mediator's common path)."""
         rewritten, _report = self.rewrite(query)
         return rewritten.serialize()
 
-    # ------------------------------------------------------------------ #
-    def _extend_prologue(self, prologue: Prologue, report: RewriteReport) -> None:
-        extend_prologue(prologue, report, self._extra_prefixes)
 
 
 def extend_prologue(
     prologue: Prologue,
     report: RewriteReport,
     extra_prefixes: dict[str, str] | None = None,
-) -> None:
-    """Bind prefixes for the target vocabulary so output stays compact."""
+) -> Prologue:
+    """``prologue`` plus prefixes for the target vocabulary, so output stays compact.
+
+    Returns a new prologue; the input's namespace manager is left as it is.
+    """
+    manager = prologue.namespace_manager.copy()
     for prefix, namespace in (extra_prefixes or {}).items():
-        prologue.namespace_manager.bind(prefix, namespace, replace=False)
+        manager.bind(prefix, namespace, replace=False)
     # Derive prefixes from the vocabularies introduced by fired rules.
     used_namespaces: set[str] = set()
     for alignment in report.alignments_used():
@@ -396,11 +394,12 @@ def extend_prologue(
             used_namespaces.add(uri.namespace_split()[0])
     counter = 0
     for namespace in sorted(used_namespaces):
-        if not namespace or prologue.namespace_manager.prefix(namespace) is not None:
+        if not namespace or manager.prefix(namespace) is not None:
             continue
         counter += 1
         candidate = f"tgt{counter}"
-        while prologue.namespace_manager.namespace(candidate) is not None:
+        while manager.namespace(candidate) is not None:
             counter += 1
             candidate = f"tgt{counter}"
-        prologue.namespace_manager.bind(candidate, namespace)
+        manager.bind(candidate, namespace)
+    return replace(prologue, namespace_manager=manager)

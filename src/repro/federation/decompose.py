@@ -46,7 +46,6 @@ ORDER-BY-only queries.
 
 from __future__ import annotations
 
-import contextvars
 import time
 from dataclasses import dataclass, field
 from collections.abc import Iterator, Sequence
@@ -379,7 +378,7 @@ class SourceSelector:
         if source_dataset is not None and target.uri == source_dataset:
             return list(patterns)
         query = SelectQuery(
-            Prologue(), [], GroupGraphPattern([TriplesBlock(list(patterns))])
+            Prologue(), (), GroupGraphPattern((TriplesBlock(tuple(patterns)),))
         )
         mediation = self._engine.mediator.translate(
             query, target.uri, source_ontology, mode
@@ -470,7 +469,7 @@ class SourceSelector:
         will be queried normally) rather than silently dropping answers.
         """
         probe = AskQuery(
-            Prologue(), GroupGraphPattern([TriplesBlock(list(translated))])
+            Prologue(), GroupGraphPattern((TriplesBlock(tuple(translated)),))
         )
         self.probes_issued += 1
         traffic = self.probe_traffic.setdefault(target.uri, [0, 0])
@@ -565,21 +564,19 @@ def decompose_query(
         for unit in plan.units:
             unit.join_variables = sorted(unit.variables() & bound, key=str)
             bound |= unit.variables()
+            # An empty VALUES block stands in for the bound-join batch.
+            inline = InlineData(tuple(unit.join_variables)) if unit.join_variables else None
             for uri in unit.sources:
                 try:
                     executable = _unit_query(
                         engine, unit, targets_by_uri[uri],
-                        source_ontology, source_dataset, mode, selector,
+                        source_ontology, source_dataset, mode, selector, inline,
                     )
                 except (KeyError, ValueError) as exc:
                     unit.sub_queries[uri] = f"error: {exc}"
                     continue
-                if unit.join_variables:
+                if inline is not None:
                     marker = " ".join(f"?{v.name}" for v in unit.join_variables)
-                    executable.where.elements.insert(
-                        0,
-                        InlineData(list(unit.join_variables), []),
-                    )
                     unit.sub_queries[uri] = executable.serialize().replace(
                         f"VALUES ({marker}) {{\n  }}",
                         f"VALUES ({marker}) {{ ...bound-join batch... }}",
@@ -680,21 +677,24 @@ def _unit_query(
     source_dataset: URIRef | None,
     mode: str,
     selector: SourceSelector,
+    inline: InlineData | None = None,
 ) -> SelectQuery:
     """The executable sub-query shipping ``unit`` to ``target``.
 
     Projects the unit's *source-level* variables: variables introduced by
     the translation (e.g. KISTI's CreatorInfo hop) are existential per
-    dataset and must not leak into the mediator-side join.
+    dataset and must not leak into the mediator-side join.  ``inline`` is
+    a bound-join batch, placed ahead of the unit's patterns.
     """
     translated = selector.translate_patterns(
         unit.patterns, target, source_ontology, source_dataset, mode
     )
-    projection = sorted(unit.variables(), key=str)
+    projection = tuple(sorted(unit.variables(), key=str))
+    block = TriplesBlock(tuple(translated))
     return SelectQuery(
         Prologue(),
         projection,
-        GroupGraphPattern([TriplesBlock(list(translated))]),
+        GroupGraphPattern((block,) if inline is None else (inline, block)),
     )
 
 
@@ -723,11 +723,14 @@ def execute_decomposed(
     canonical_pattern: str | None,
     selector: SourceSelector,
     bind_join_batch: int = DEFAULT_BIND_JOIN_BATCH,
+    parallel: bool = True,
 ) -> FederatedResult:
     """Execute ``query`` with the decompose strategy.
 
     Falls back to the engine's fan-out path when the plan says so.  The
     result carries the plan under :attr:`FederatedResult.decomposition`.
+    ``parallel`` lets a unit query its sources concurrently; with
+    ``False`` every request runs on the calling thread.
     """
     from .federator import DatasetResult, FederatedResult
 
@@ -753,6 +756,7 @@ def execute_decomposed(
             mode=mode,
             datasets=[target.uri for target in targets],
             canonical_pattern=canonical_pattern,
+            parallel=parallel,
             strategy="fanout",
         )
         outcome.strategy = "decompose"
@@ -778,7 +782,7 @@ def execute_decomposed(
         targets_by_uri = {target.uri: target for target in targets}
         executor = _PlanExecutor(
             engine, plan, targets_by_uri, source_ontology, source_dataset,
-            mode, selector, traffic,
+            mode, selector, traffic, parallel,
         )
         merged = executor.execute(query, variables, canonical_pattern)
         run_event = executor.run_event(query)
@@ -924,11 +928,11 @@ class _VecUnitOp(VecOperator):
                 for key in by_key
             }
             inline = InlineData(
-                list(join_vars),
-                sorted(
+                tuple(join_vars),
+                tuple(sorted(
                     decoded.values(),
                     key=lambda key: tuple(str(term) for term in key),
-                ),
+                )),
             )
             out: list[tuple] = []
             for fetched_key, appended in self._intern_fetched(
@@ -1031,6 +1035,7 @@ class _PlanExecutor:
         mode: str,
         selector: SourceSelector,
         traffic: dict[URIRef, _Traffic],
+        parallel: bool,
     ) -> None:
         self._engine = engine
         self._plan = plan
@@ -1040,6 +1045,7 @@ class _PlanExecutor:
         self._mode = mode
         self._selector = selector
         self._traffic = traffic
+        self._parallel = parallel
         self.bind_join_batch = plan.bind_join_batch
         self.root: VecOperator | None = None
         self.ctx: ExecContext | None = None
@@ -1058,13 +1064,11 @@ class _PlanExecutor:
             executable = _unit_query(
                 self._engine, unit, target,
                 self._source_ontology, self._source_dataset, self._mode,
-                self._selector,
+                self._selector, inline,
             )
         except (KeyError, ValueError) as exc:
             entry.errors.append(str(exc))
             return []
-        if inline is not None:
-            executable.where.elements.insert(0, inline)
         entry.requests += 1
         result, attempts, error = self._engine.call_endpoint(target, executable)
         entry.attempts += attempts
@@ -1078,31 +1082,13 @@ class _PlanExecutor:
         """One round of a unit: every source answers, results in source order.
 
         Sources are independent, so (like the fan-out path) they are
-        queried concurrently when the engine is parallel — a bound-join
+        queried concurrently when the run is parallel — a bound-join
         batch over k high-latency endpoints costs one round trip, not k.
         """
-        sources = unit.sources
-        if len(sources) > 1 and self._engine.parallel:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(
-                max_workers=min(len(sources), self._engine.max_workers),
-                thread_name_prefix="decompose",
-            ) as pool:
-                # copy_context() per task: per-source endpoint spans keep
-                # the submitting thread's span (the request) as parent.
-                futures = [
-                    pool.submit(
-                        contextvars.copy_context().run,
-                        self._fetch, unit, self._targets[uri], inline,
-                    )
-                    for uri in sources
-                ]
-                per_source = [future.result() for future in futures]
-        else:
-            per_source = [
-                self._fetch(unit, self._targets[uri], inline) for uri in sources
-            ]
+        per_source = self._engine._map_concurrently(
+            lambda uri: self._fetch(unit, self._targets[uri], inline),
+            unit.sources, self._parallel, "decompose",
+        )
         rows: list[Binding] = []
         for fetched in per_source:
             rows.extend(fetched)

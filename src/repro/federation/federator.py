@@ -30,7 +30,8 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
+from typing import TypeVar
 
 from ..coreference import SameAsService
 from ..core import MediationResult, Mediator
@@ -46,6 +47,9 @@ __all__ = ["DatasetResult", "FederatedResult", "FederatedQueryEngine", "recall",
 
 #: Default upper bound on concurrent endpoint requests per engine.
 _DEFAULT_MAX_WORKERS = 16
+
+_Item = TypeVar("_Item")
+_Result = TypeVar("_Result")
 
 
 @dataclass
@@ -254,6 +258,8 @@ class FederatedQueryEngine:
         """
         if isinstance(query, str):
             query = parse_query(query)
+        if parallel is None:
+            parallel = self.parallel
         effective_strategy = strategy or self.strategy
         if effective_strategy == "decompose":
             from .decompose import execute_decomposed
@@ -263,6 +269,7 @@ class FederatedQueryEngine:
                 source_ontology, source_dataset, mode, canonical_pattern,
                 selector=self.source_selector,
                 bind_join_batch=self.bind_join_batch,
+                parallel=parallel,
             )
         if effective_strategy != "fanout":
             raise ValueError(f"unknown federation strategy: {effective_strategy!r}")
@@ -274,9 +281,11 @@ class FederatedQueryEngine:
             canonical_pattern = self.registry.get(source_dataset).uri_pattern
 
         outcome = FederatedResult(variables=list(variables))
-        outcome.per_dataset = self._fan_out(
-            query, targets, source_ontology, source_dataset, mode,
-            self.parallel if parallel is None else parallel,
+        outcome.per_dataset = self._map_concurrently(
+            lambda target: self._run_on_dataset(
+                query, target, source_ontology, source_dataset, mode
+            ),
+            targets, parallel, "federate",
         )
         outcome.merged_bindings = self._merge(
             (entry.result for entry in outcome.per_dataset if entry.result is not None),
@@ -516,40 +525,35 @@ class FederatedQueryEngine:
     # ------------------------------------------------------------------ #
     # Fan-out
     # ------------------------------------------------------------------ #
-    def _fan_out(
+    def _map_concurrently(
         self,
-        query: Query,
-        targets: Sequence[RegisteredDataset],
-        source_ontology: URIRef | None,
-        source_dataset: URIRef | None,
-        mode: str,
+        function: Callable[[_Item], _Result],
+        items: Sequence[_Item],
         parallel: bool,
-    ) -> list[DatasetResult]:
-        """One :class:`DatasetResult` per target, in target order."""
-        if not parallel or len(targets) <= 1:
-            return [
-                self._run_on_dataset(query, target, source_ontology, source_dataset, mode)
-                for target in targets
-            ]
-        results: list[DatasetResult | None] = [None] * len(targets)
+        thread_name_prefix: str,
+    ) -> list[_Result]:
+        """``[function(item) for item in items]``, on a thread pool when ``parallel``.
+
+        Both strategies send their independent endpoint requests through
+        here: the fan-out's one request per dataset and each decomposed
+        unit's one request per source.  Results keep the order of
+        ``items``; with ``parallel=False`` every call runs on the calling
+        thread.
+        """
+        if not parallel or len(items) <= 1:
+            return [function(item) for item in items]
         with ThreadPoolExecutor(
-            max_workers=min(len(targets), self.max_workers),
-            thread_name_prefix="federate",
+            max_workers=min(len(items), self.max_workers),
+            thread_name_prefix=thread_name_prefix,
         ) as pool:
             # copy_context() per task (a Context cannot be entered by two
             # threads at once): each worker sees the submitting thread's
-            # active span, so per-dataset spans nest under the request.
-            futures = {
-                pool.submit(
-                    contextvars.copy_context().run,
-                    self._run_on_dataset, query, target,
-                    source_ontology, source_dataset, mode,
-                ): index
-                for index, target in enumerate(targets)
-            }
-            for future, index in futures.items():
-                results[index] = future.result()
-        return [entry for entry in results if entry is not None]
+            # active span, so per-request spans nest under the request.
+            futures = [
+                pool.submit(contextvars.copy_context().run, function, item)
+                for item in items
+            ]
+            return [future.result() for future in futures]
 
     def _run_on_dataset(
         self,

@@ -19,6 +19,7 @@ from .ast import (
     InlineData,
     OptionalPattern,
     OrderCondition,
+    PatternElement,
     Prologue,
     Query,
     SelectQuery,
@@ -28,6 +29,7 @@ from .ast import (
     UnaryExpression,
     UnionPattern,
     VariableExpression,
+    rebuild_group,
 )
 from .algebra import (
     AlgebraBGP,
@@ -104,8 +106,8 @@ __all__ = [
     # AST
     "Query", "SelectQuery", "AskQuery", "ConstructQuery",
     "Prologue", "SolutionModifiers", "OrderCondition",
-    "GroupGraphPattern", "TriplesBlock", "Filter", "OptionalPattern", "UnionPattern",
-    "InlineData",
+    "GroupGraphPattern", "PatternElement", "TriplesBlock", "Filter", "OptionalPattern",
+    "UnionPattern", "InlineData", "rebuild_group",
     "Expression", "TermExpression", "VariableExpression", "BinaryExpression",
     "UnaryExpression", "FunctionCall", "ExistsExpression",
     # algebra

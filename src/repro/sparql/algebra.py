@@ -31,6 +31,7 @@ from .ast import (
     InlineData,
     OptionalPattern,
     OrderCondition,
+    PatternElement,
     Query,
     SelectQuery,
     TriplesBlock,
@@ -301,40 +302,41 @@ def translate_query(query: Query) -> AlgebraNode:
 # --------------------------------------------------------------------------- #
 def algebra_to_group(node: AlgebraNode) -> GroupGraphPattern:
     """Convert a pattern-level algebra tree back into an AST group."""
-    group = GroupGraphPattern()
-    _emit(node, group)
-    return group
+    elements: list[PatternElement] = []
+    _emit(node, elements)
+    return GroupGraphPattern(elements)
 
 
-def _emit(node: AlgebraNode, group: GroupGraphPattern) -> None:
+def _emit(node: AlgebraNode, elements: list[PatternElement]) -> None:
     if isinstance(node, AlgebraBGP):
         if node.patterns:
-            group.add(TriplesBlock(list(node.patterns)))
+            elements.append(TriplesBlock(node.patterns))
         return
     if isinstance(node, AlgebraTable):
-        group.add(InlineData(list(node.columns), list(node.rows)))
+        elements.append(InlineData(node.columns, node.rows))
         return
     if isinstance(node, AlgebraJoin):
-        _emit(node.left, group)
-        _emit(node.right, group)
+        _emit(node.left, elements)
+        _emit(node.right, elements)
         return
     if isinstance(node, AlgebraLeftJoin):
-        _emit(node.left, group)
-        optional_group = algebra_to_group(node.right)
+        _emit(node.left, elements)
+        optional: list[PatternElement] = []
+        _emit(node.right, optional)
         if node.expression is not None:
-            optional_group.add(Filter(node.expression))
-        group.add(OptionalPattern(optional_group))
+            optional.append(Filter(node.expression))
+        elements.append(OptionalPattern(GroupGraphPattern(optional)))
         return
     if isinstance(node, AlgebraUnion):
-        alternatives = [algebra_to_group(node.left), algebra_to_group(node.right)]
-        group.add(UnionPattern(alternatives))
+        alternatives = (algebra_to_group(node.left), algebra_to_group(node.right))
+        elements.append(UnionPattern(alternatives))
         return
     if isinstance(node, AlgebraFilter):
-        _emit(node.child, group)
-        group.add(Filter(node.expression))
+        _emit(node.child, elements)
+        elements.append(Filter(node.expression))
         return
     if isinstance(node, (AlgebraProject, AlgebraDistinct, AlgebraOrderBy, AlgebraSlice)):
-        _emit(node.children()[0], group)
+        _emit(node.children()[0], elements)
         return
     raise TypeError(f"cannot convert algebra node to pattern: {node!r}")
 

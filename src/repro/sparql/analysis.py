@@ -36,7 +36,7 @@ decomposer answer without a single index lookup or endpoint request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from collections.abc import Iterator, Sequence
 from typing import Any
 
@@ -53,12 +53,14 @@ from .ast import (
     GroupGraphPattern,
     InlineData,
     OptionalPattern,
+    PatternElement,
     Query,
     SelectQuery,
     TermExpression,
     TriplesBlock,
     UnaryExpression,
     UnionPattern,
+    rebuild_group,
 )
 from .expressions import ExpressionError, effective_boolean_value, evaluate_expression
 from .results import Binding
@@ -791,44 +793,12 @@ def prune_query(query: Query, analysis: AnalysisResult) -> Query:
     if not droppable:
         return query
 
-    def rebuild_group(group: GroupGraphPattern) -> GroupGraphPattern:
-        rebuilt = GroupGraphPattern()
-        rebuilt.span = group.span
-        for element in group.elements:
-            if isinstance(element, Filter) and id(element) in droppable:
-                continue
-            if isinstance(element, GroupGraphPattern):
-                rebuilt.add(rebuild_group(element))
-            elif isinstance(element, OptionalPattern):
-                rebuilt.add(
-                    OptionalPattern(rebuild_group(element.group), span=element.span)
-                )
-            elif isinstance(element, UnionPattern):
-                rebuilt.add(
-                    UnionPattern(
-                        [rebuild_group(a) for a in element.alternatives],
-                        span=element.span,
-                    )
-                )
-            else:
-                rebuilt.add(element)
-        return rebuilt
+    def keep(element: PatternElement) -> PatternElement | None:
+        if isinstance(element, Filter) and id(element) in droppable:
+            return None
+        return element
 
-    where = rebuild_group(query.where)
-    pruned: Query
-    if isinstance(query, SelectQuery):
-        pruned = SelectQuery(
-            query.prologue, query.projection, where, query.modifiers,
-            query.projection_spans,
-        )
-    elif isinstance(query, AskQuery):
-        pruned = AskQuery(query.prologue, where, query.modifiers)
-    elif isinstance(query, ConstructQuery):
-        pruned = ConstructQuery(query.prologue, query.template, where, query.modifiers)
-    else:  # pragma: no cover - no other query forms exist
-        return query
-    pruned.span = query.span
-    return pruned
+    return replace(query, where=rebuild_group(query.where, keep))
 
 
 def analyze_federation(

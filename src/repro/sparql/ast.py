@@ -12,12 +12,18 @@ The AST mirrors the anatomy described in Section 3.1 of the paper:
 
 Expression nodes used inside FILTERs live in this module as well; their
 evaluation semantics is implemented in :mod:`repro.sparql.expressions`.
+
+Every node is an immutable value (a frozen dataclass whose sequence fields
+are tuples), so a parsed or rewritten query can be cached and shared
+without copying.  Build a changed node with :func:`dataclasses.replace`;
+:func:`rebuild_group` maps the leaves of a group graph pattern.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import Field, dataclass, field, replace
+from collections.abc import Callable, Iterator, Sequence
+from typing import Any, ClassVar
 
 from ..rdf import NamespaceManager, Term, Triple, Variable
 from .tokenizer import SourceSpan
@@ -29,6 +35,7 @@ __all__ = [
     # patterns
     "PatternElement", "TriplesBlock", "Filter", "OptionalPattern",
     "UnionPattern", "InlineData", "GroupGraphPattern", "GraphPattern",
+    "rebuild_group",
     # query forms
     "Prologue", "OrderCondition", "SolutionModifiers",
     "Query", "SelectQuery", "AskQuery", "ConstructQuery",
@@ -150,6 +157,7 @@ class PatternElement:
         return set()
 
 
+@dataclass(frozen=True, eq=False)
 class TriplesBlock(PatternElement):
     """A Basic Graph Pattern: an ordered block of triple patterns.
 
@@ -158,18 +166,16 @@ class TriplesBlock(PatternElement):
     order-insensitive (a BGP denotes a conjunction).
     """
 
-    def __init__(self, patterns: Iterable[Triple] | None = None) -> None:
-        self.patterns: list[Triple] = list(patterns) if patterns else []
-        #: Source extent of each pattern, aligned with ``patterns``
-        #: (``Triple`` is a frozen value type shared across blocks, so the
-        #: positions live here).  ``None`` for programmatically built blocks.
-        self.pattern_spans: list[SourceSpan | None] = [None] * len(self.patterns)
-        self.span: SourceSpan | None = None
+    patterns: tuple[Triple, ...] = ()
+    #: Source extent of each pattern, aligned with ``patterns`` (``Triple``
+    #: is a value shared across blocks, so the positions live here).  Empty
+    #: for programmatically built blocks.
+    pattern_spans: tuple[SourceSpan | None, ...] = field(default=(), compare=False)
+    span: SourceSpan | None = field(default=None, compare=False)
 
-    def add(self, pattern: Triple, span: SourceSpan | None = None) -> TriplesBlock:
-        self.patterns.append(pattern)
-        self.pattern_spans.append(span)
-        return self
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "patterns", tuple(self.patterns))
+        object.__setattr__(self, "pattern_spans", tuple(self.pattern_spans))
 
     def span_of(self, index: int) -> SourceSpan | None:
         """The source extent of pattern ``index``, if the block was parsed."""
@@ -192,14 +198,11 @@ class TriplesBlock(PatternElement):
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TriplesBlock) and set(self.patterns) == set(other.patterns)
 
-    def __hash__(self) -> int:  # pragma: no cover - blocks are mutable
-        return id(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TriplesBlock({self.patterns!r})"
+    def __hash__(self) -> int:
+        return hash(frozenset(self.patterns))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Filter(PatternElement):
     """A FILTER constraint attached to a group."""
 
@@ -210,7 +213,7 @@ class Filter(PatternElement):
         return self.expression.variables()
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptionalPattern(PatternElement):
     """An OPTIONAL group."""
 
@@ -221,12 +224,15 @@ class OptionalPattern(PatternElement):
         return self.group.variables()
 
 
-@dataclass
+@dataclass(frozen=True)
 class UnionPattern(PatternElement):
     """A UNION of two or more groups."""
 
-    alternatives: list[GroupGraphPattern]
+    alternatives: tuple[GroupGraphPattern, ...]
     span: SourceSpan | None = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "alternatives", tuple(self.alternatives))
 
     def variables(self) -> set[Variable]:
         result: set[Variable] = set()
@@ -235,6 +241,7 @@ class UnionPattern(PatternElement):
         return result
 
 
+@dataclass(frozen=True)
 class InlineData(PatternElement):
     """A ``VALUES`` block: an inline table of solution bindings.
 
@@ -246,29 +253,21 @@ class InlineData(PatternElement):
     already produced by earlier join steps.
     """
 
-    def __init__(
-        self,
-        columns: Iterable[Variable],
-        rows: Iterable[Sequence[Term | None]] = (),
-    ) -> None:
-        self.columns: list[Variable] = list(columns)
-        self.rows: list[tuple] = [tuple(row) for row in rows]
-        self.span: SourceSpan | None = None
-        for row in self.rows:
-            if len(row) != len(self.columns):
+    columns: tuple[Variable, ...]
+    rows: tuple[tuple[Term | None, ...], ...] = ()
+    span: SourceSpan | None = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        columns = tuple(self.columns)
+        rows = tuple(tuple(row) for row in self.rows)
+        for row in rows:
+            if len(row) != len(columns):
                 raise ValueError(
                     f"VALUES row width {len(row)} does not match "
-                    f"{len(self.columns)} variables"
+                    f"{len(columns)} variables"
                 )
-
-    def add_row(self, row: Sequence[Term | None]) -> InlineData:
-        if len(row) != len(self.columns):
-            raise ValueError(
-                f"VALUES row width {len(row)} does not match "
-                f"{len(self.columns)} variables"
-            )
-        self.rows.append(tuple(row))
-        return self
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "rows", rows)
 
     def variables(self) -> set[Variable]:
         return set(self.columns)
@@ -276,30 +275,16 @@ class InlineData(PatternElement):
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, InlineData)
-            and self.columns == other.columns
-            and self.rows == other.rows
-        )
 
-    def __hash__(self) -> int:  # pragma: no cover - blocks are mutable
-        return id(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"InlineData({self.columns!r}, {len(self.rows)} rows)"
-
-
+@dataclass(frozen=True)
 class GroupGraphPattern(PatternElement):
-    """A ``{ ... }`` group: an ordered list of pattern elements."""
+    """A ``{ ... }`` group: an ordered sequence of pattern elements."""
 
-    def __init__(self, elements: Iterable[PatternElement] | None = None) -> None:
-        self.elements: list[PatternElement] = list(elements) if elements else []
-        self.span: SourceSpan | None = None
+    elements: tuple[PatternElement, ...] = ()
+    span: SourceSpan | None = field(default=None, compare=False)
 
-    def add(self, element: PatternElement) -> GroupGraphPattern:
-        self.elements.append(element)
-        return self
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "elements", tuple(self.elements))
 
     def variables(self) -> set[Variable]:
         result: set[Variable] = set()
@@ -350,32 +335,53 @@ class GroupGraphPattern(PatternElement):
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"GroupGraphPattern({self.elements!r})"
-
 
 #: Alias used in type annotations across the code base.
 GraphPattern = GroupGraphPattern | PatternElement
 
 
+def rebuild_group(
+    group: GroupGraphPattern,
+    leaf: Callable[[PatternElement], PatternElement | None],
+) -> GroupGraphPattern:
+    """A new group with ``leaf`` applied to every leaf element, bottom-up.
+
+    Nested groups, OPTIONAL groups and UNION alternatives are rebuilt
+    recursively; every other element (triples block, FILTER, VALUES) is
+    replaced by ``leaf(element)``, or dropped when that returns ``None``.
+    Leaves are visited in the order of :meth:`GroupGraphPattern.triples_blocks`.
+    """
+    elements: list[PatternElement] = []
+    for element in group.elements:
+        rebuilt: PatternElement | None
+        if isinstance(element, GroupGraphPattern):
+            rebuilt = rebuild_group(element, leaf)
+        elif isinstance(element, OptionalPattern):
+            rebuilt = replace(element, group=rebuild_group(element.group, leaf))
+        elif isinstance(element, UnionPattern):
+            rebuilt = replace(
+                element,
+                alternatives=tuple(rebuild_group(a, leaf) for a in element.alternatives),
+            )
+        else:
+            rebuilt = leaf(element)
+        if rebuilt is not None:
+            elements.append(rebuilt)
+    return replace(group, elements=tuple(elements))
+
+
 # --------------------------------------------------------------------------- #
 # Query forms
 # --------------------------------------------------------------------------- #
-@dataclass
+@dataclass(frozen=True)
 class Prologue:
     """PREFIX/BASE declarations of a query."""
 
     namespace_manager: NamespaceManager = field(default_factory=lambda: NamespaceManager(install_defaults=False))
     base: str | None = None
 
-    def bind(self, prefix: str, namespace: str) -> None:
-        self.namespace_manager.bind(prefix, namespace)
 
-    def copy(self) -> Prologue:
-        return Prologue(self.namespace_manager.copy(), self.base)
-
-
-@dataclass
+@dataclass(frozen=True)
 class OrderCondition:
     """A single ORDER BY condition."""
 
@@ -384,36 +390,33 @@ class OrderCondition:
     span: SourceSpan | None = field(default=None, compare=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolutionModifiers:
     """DISTINCT/REDUCED, ORDER BY, LIMIT and OFFSET."""
 
     distinct: bool = False
     reduced: bool = False
-    order_by: list[OrderCondition] = field(default_factory=list)
+    order_by: tuple[OrderCondition, ...] = ()
     limit: int | None = None
     offset: int | None = None
 
-    def copy(self) -> SolutionModifiers:
-        return SolutionModifiers(
-            distinct=self.distinct,
-            reduced=self.reduced,
-            order_by=list(self.order_by),
-            limit=self.limit,
-            offset=self.offset,
-        )
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "order_by", tuple(self.order_by))
 
 
 class Query:
-    """Base class of the three query forms."""
+    """Base class of the three query forms.
 
-    def __init__(self, prologue: Prologue, where: GroupGraphPattern,
-                 modifiers: SolutionModifiers | None = None) -> None:
-        self.prologue = prologue
-        self.where = where
-        self.modifiers = modifiers or SolutionModifiers()
-        #: Extent of the whole query text when parsed, else ``None``.
-        self.span: SourceSpan | None = None
+    Every form is a frozen dataclass carrying ``prologue``, ``where``,
+    ``modifiers`` and ``span`` (the extent of the whole query text when
+    parsed, else ``None``).
+    """
+
+    __dataclass_fields__: ClassVar[dict[str, Field[Any]]]
+    prologue: Prologue
+    where: GroupGraphPattern
+    modifiers: SolutionModifiers
+    span: SourceSpan | None
 
     # -- introspection used by the rewriter --------------------------------- #
     def triples_blocks(self) -> Iterator[TriplesBlock]:
@@ -440,30 +443,26 @@ class Query:
         return self.serialize()
 
 
+@dataclass(frozen=True)
 class SelectQuery(Query):
     """A SELECT query.
 
-    ``projection`` is the list of requested variables; an empty list means
+    ``projection`` holds the requested variables; an empty projection means
     ``SELECT *`` (project every visible variable).
     """
 
-    def __init__(
-        self,
-        prologue: Prologue,
-        projection: Sequence[Variable],
-        where: GroupGraphPattern,
-        modifiers: SolutionModifiers | None = None,
-        projection_spans: Sequence[SourceSpan | None] | None = None,
-    ) -> None:
-        super().__init__(prologue, where, modifiers)
-        self.projection: list[Variable] = list(projection)
-        #: Source extent of each projected variable, aligned with
-        #: ``projection`` (``None`` entries for programmatically built queries).
-        self.projection_spans: list[SourceSpan | None] = (
-            list(projection_spans)
-            if projection_spans is not None
-            else [None] * len(self.projection)
-        )
+    prologue: Prologue
+    projection: tuple[Variable, ...]
+    where: GroupGraphPattern
+    modifiers: SolutionModifiers = field(default_factory=SolutionModifiers)
+    #: Source extent of each projected variable, aligned with
+    #: ``projection``; empty for programmatically built queries.
+    projection_spans: tuple[SourceSpan | None, ...] = field(default=(), compare=False)
+    span: SourceSpan | None = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "projection", tuple(self.projection))
+        object.__setattr__(self, "projection_spans", tuple(self.projection_spans))
 
     @property
     def select_all(self) -> bool:
@@ -477,19 +476,25 @@ class SelectQuery(Query):
         return sorted(self.where.variables(), key=str)
 
 
+@dataclass(frozen=True)
 class AskQuery(Query):
     """An ASK query (boolean result)."""
 
+    prologue: Prologue
+    where: GroupGraphPattern
+    modifiers: SolutionModifiers = field(default_factory=SolutionModifiers)
+    span: SourceSpan | None = field(default=None, compare=False)
 
+
+@dataclass(frozen=True)
 class ConstructQuery(Query):
     """A CONSTRUCT query with a template of triple patterns."""
 
-    def __init__(
-        self,
-        prologue: Prologue,
-        template: Sequence[Triple],
-        where: GroupGraphPattern,
-        modifiers: SolutionModifiers | None = None,
-    ) -> None:
-        super().__init__(prologue, where, modifiers)
-        self.template: list[Triple] = list(template)
+    prologue: Prologue
+    template: tuple[Triple, ...]
+    where: GroupGraphPattern
+    modifiers: SolutionModifiers = field(default_factory=SolutionModifiers)
+    span: SourceSpan | None = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "template", tuple(self.template))

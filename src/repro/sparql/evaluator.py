@@ -319,8 +319,10 @@ class QueryEvaluator:
 
         if not self.analysis_enabled:
             return None, query
-        if self._prepared is not None and self._prepared[0] is query:
-            analysis, effective = self._prepared[1], self._prepared[2]
+        # One read of the shared slot: another thread may replace it.
+        prepared = self._prepared
+        if prepared is not None and prepared[0] is query:
+            _query, analysis, effective = prepared
         else:
             analysis = analyze_query(query, self._graph)
             effective = prune_query(query, analysis)

@@ -45,6 +45,7 @@ from .ast import (
     InlineData,
     OptionalPattern,
     OrderCondition,
+    PatternElement,
     Prologue,
     Query,
     SelectQuery,
@@ -93,17 +94,23 @@ class SparqlParser:
         state = _ParserState(tokens, self._seed_manager)
         query = state.parse_query()
         state.expect_eof()
-        if len(tokens) > 1:  # more than the EOF token
-            query.span = tokens[0].span.cover(tokens[-2].span)
         return query
+
+
+#: Triple patterns of one block being parsed, each with its source extent.
+_BlockPatterns = list[tuple[Triple, SourceSpan]]
 
 
 class _ParserState:
     def __init__(self, tokens: list[SparqlToken], seed_manager: NamespaceManager | None) -> None:
         self._tokens = tokens
         self._index = 0
-        manager = seed_manager.copy() if seed_manager else NamespaceManager(install_defaults=False)
-        self.prologue = Prologue(namespace_manager=manager)
+        #: Extent of the whole query text (every token but EOF).
+        self._query_span = tokens[0].span.cover(tokens[-2].span) if len(tokens) > 1 else None
+        self._manager = (
+            seed_manager.copy() if seed_manager else NamespaceManager(install_defaults=False)
+        )
+        self._base: str | None = None
 
     # ------------------------------------------------------------------ #
     # Token helpers
@@ -150,12 +157,13 @@ class _ParserState:
     # ------------------------------------------------------------------ #
     def parse_query(self) -> Query:
         self._parse_prologue()
+        prologue = Prologue(self._manager, self._base)
         if self._at_keyword("SELECT"):
-            return self._parse_select()
+            return self._parse_select(prologue)
         if self._at_keyword("ASK"):
-            return self._parse_ask()
+            return self._parse_ask(prologue)
         if self._at_keyword("CONSTRUCT"):
-            return self._parse_construct()
+            return self._parse_construct(prologue)
         token = self._peek()
         raise SparqlParseError(
             f"expected SELECT, ASK or CONSTRUCT, found {token.value!r}", token
@@ -169,21 +177,18 @@ class _ParserState:
                 if not pname.value.endswith(":"):
                     raise SparqlParseError("PREFIX declaration must end with ':'", pname)
                 iri = self._expect("IRIREF")
-                self.prologue.bind(pname.value[:-1], iri.value[1:-1])
+                self._manager.bind(pname.value[:-1], iri.value[1:-1])
             elif self._at_keyword("BASE"):
                 self._next()
                 iri = self._expect("IRIREF")
-                self.prologue.base = iri.value[1:-1]
+                self._base = iri.value[1:-1]
             else:
                 return
 
-    def _parse_select(self) -> SelectQuery:
+    def _parse_select(self, prologue: Prologue) -> SelectQuery:
         self._expect("KEYWORD", "SELECT")
-        modifiers = SolutionModifiers()
-        if self._accept_keyword("DISTINCT"):
-            modifiers.distinct = True
-        elif self._accept_keyword("REDUCED"):
-            modifiers.reduced = True
+        distinct = self._accept_keyword("DISTINCT") is not None
+        reduced = not distinct and self._accept_keyword("REDUCED") is not None
 
         projection: list[Variable] = []
         projection_spans: list[SourceSpan | None] = []
@@ -199,60 +204,56 @@ class _ParserState:
 
         self._accept_keyword("WHERE")
         where = self._parse_group_graph_pattern()
-        self._parse_solution_modifiers(modifiers)
-        return SelectQuery(self.prologue, projection, where, modifiers, projection_spans)
+        modifiers = self._parse_solution_modifiers(distinct, reduced)
+        return SelectQuery(
+            prologue, projection, where, modifiers, projection_spans, self._query_span
+        )
 
-    def _parse_ask(self) -> AskQuery:
+    def _parse_ask(self, prologue: Prologue) -> AskQuery:
         self._expect("KEYWORD", "ASK")
         self._accept_keyword("WHERE")
         where = self._parse_group_graph_pattern()
-        return AskQuery(self.prologue, where)
+        return AskQuery(prologue, where, span=self._query_span)
 
-    def _parse_construct(self) -> ConstructQuery:
+    def _parse_construct(self, prologue: Prologue) -> ConstructQuery:
         self._expect("KEYWORD", "CONSTRUCT")
         template = self._parse_construct_template()
         self._accept_keyword("WHERE")
         where = self._parse_group_graph_pattern()
-        modifiers = SolutionModifiers()
-        self._parse_solution_modifiers(modifiers)
-        return ConstructQuery(self.prologue, template, where, modifiers)
+        modifiers = self._parse_solution_modifiers()
+        return ConstructQuery(prologue, template, where, modifiers, self._query_span)
 
     def _parse_construct_template(self) -> list[Triple]:
         self._expect("LBRACE")
-        block = TriplesBlock()
+        block: _BlockPatterns = []
         while self._peek().kind != "RBRACE":
             self._parse_triples_same_subject(block)
             while self._peek().kind == "DOT":
                 self._next()
         self._expect("RBRACE")
-        return block.patterns
+        return [pattern for pattern, _span in block]
 
     # ------------------------------------------------------------------ #
     # Graph patterns
     # ------------------------------------------------------------------ #
     def _parse_group_graph_pattern(self) -> GroupGraphPattern:
         lbrace = self._expect("LBRACE")
-        group = GroupGraphPattern()
-        current_block: TriplesBlock | None = None
-
+        elements: list[PatternElement] = []
         while self._peek().kind != "RBRACE":
             token = self._peek()
             if token.kind == "KEYWORD" and token.value == "FILTER":
                 self._next()
                 expression = self._parse_filter_constraint()
-                group.add(Filter(expression, span=token.span.cover(self._prev_span())))
-                current_block = None
+                elements.append(Filter(expression, span=token.span.cover(self._prev_span())))
             elif token.kind == "KEYWORD" and token.value == "OPTIONAL":
                 self._next()
                 inner = self._parse_group_graph_pattern()
-                group.add(OptionalPattern(inner, span=token.span.cover(self._prev_span())))
-                current_block = None
+                elements.append(
+                    OptionalPattern(inner, span=token.span.cover(self._prev_span()))
+                )
             elif token.kind == "KEYWORD" and token.value == "VALUES":
                 self._next()
-                data = self._parse_inline_data()
-                data.span = token.span.cover(self._prev_span())
-                group.add(data)
-                current_block = None
+                elements.append(self._parse_inline_data(token))
             elif token.kind == "LBRACE":
                 nested = self._parse_group_graph_pattern()
                 alternatives = [nested]
@@ -260,29 +261,36 @@ class _ParserState:
                     self._next()
                     alternatives.append(self._parse_group_graph_pattern())
                 if len(alternatives) > 1:
-                    group.add(
+                    elements.append(
                         UnionPattern(alternatives, span=token.span.cover(self._prev_span()))
                     )
                 else:
-                    group.add(nested)
-                current_block = None
+                    elements.append(nested)
             elif token.kind == "DOT":
                 self._next()
             else:
-                if current_block is None:
-                    current_block = TriplesBlock()
-                    group.add(current_block)
-                self._parse_triples_same_subject(current_block)
-                current_block.span = (
-                    current_block.span.cover(self._prev_span())
-                    if current_block.span
-                    else token.span.cover(self._prev_span())
-                )
-                if self._peek().kind == "DOT":
-                    self._next()
+                elements.append(self._parse_triples_block())
         rbrace = self._expect("RBRACE")
-        group.span = lbrace.span.cover(rbrace.span)
-        return group
+        return GroupGraphPattern(elements, span=lbrace.span.cover(rbrace.span))
+
+    def _parse_triples_block(self) -> TriplesBlock:
+        """Triple patterns up to the next group element that is not one."""
+        start = self._peek().span
+        block: _BlockPatterns = []
+        while True:
+            self._parse_triples_same_subject(block)
+            end = self._prev_span()
+            while self._peek().kind == "DOT":
+                self._next()
+            token = self._peek()
+            if token.kind in ("RBRACE", "LBRACE") or (
+                token.kind == "KEYWORD" and token.value in ("FILTER", "OPTIONAL", "VALUES")
+            ):
+                return TriplesBlock(
+                    tuple(pattern for pattern, _span in block),
+                    tuple(span for _pattern, span in block),
+                    start.cover(end),
+                )
 
     def _parse_filter_constraint(self) -> Expression:
         token = self._peek()
@@ -300,36 +308,38 @@ class _ParserState:
     # ------------------------------------------------------------------ #
     # Inline data (VALUES)
     # ------------------------------------------------------------------ #
-    def _parse_inline_data(self) -> InlineData:
-        """``VALUES ?x { ... }`` or ``VALUES (?x ?y) { (...) ... }``."""
+    def _parse_inline_data(self, keyword: SparqlToken) -> InlineData:
+        """``VALUES ?x { ... }`` or ``VALUES (?x ?y) { (...) ... }``.
+
+        ``keyword`` is the already consumed ``VALUES`` token.
+        """
         token = self._peek()
+        columns: list[Variable] = []
+        rows: list[tuple[Term | None, ...]] = []
         if token.kind == "VAR":
             self._next()
-            data = InlineData([Variable(token.value)])
+            columns.append(Variable(token.value))
             self._expect("LBRACE")
             while self._peek().kind != "RBRACE":
-                data.add_row((self._parse_data_value(),))
-            self._expect("RBRACE")
-            return data
-        self._expect("LPAREN")
-        columns: list[Variable] = []
-        while self._peek().kind == "VAR":
-            columns.append(Variable(self._next().value))
-        self._expect("RPAREN")
-        data = InlineData(columns)
-        self._expect("LBRACE")
-        while self._peek().kind != "RBRACE":
+                rows.append((self._parse_data_value(),))
+        else:
             self._expect("LPAREN")
-            row: list[Term | None] = []
-            while self._peek().kind != "RPAREN":
-                row.append(self._parse_data_value())
+            while self._peek().kind == "VAR":
+                columns.append(Variable(self._next().value))
             self._expect("RPAREN")
-            try:
-                data.add_row(row)
-            except ValueError as exc:
-                raise SparqlParseError(str(exc), self._peek()) from exc
+            self._expect("LBRACE")
+            while self._peek().kind != "RBRACE":
+                self._expect("LPAREN")
+                row: list[Term | None] = []
+                while self._peek().kind != "RPAREN":
+                    row.append(self._parse_data_value())
+                self._expect("RPAREN")
+                rows.append(tuple(row))
         self._expect("RBRACE")
-        return data
+        try:
+            return InlineData(columns, rows, span=keyword.span.cover(self._prev_span()))
+        except ValueError as exc:
+            raise SparqlParseError(str(exc), keyword) from exc
 
     def _parse_data_value(self) -> Term | None:
         """One VALUES cell: an IRI, a literal, or ``UNDEF`` (``None``)."""
@@ -355,13 +365,13 @@ class _ParserState:
     # ------------------------------------------------------------------ #
     # Triple patterns
     # ------------------------------------------------------------------ #
-    def _parse_triples_same_subject(self, block: TriplesBlock) -> None:
+    def _parse_triples_same_subject(self, block: _BlockPatterns) -> None:
         start = self._peek().span
         subject = self._parse_term(position="subject", block=block)
         self._parse_property_list(subject, block, start)
 
     def _parse_property_list(
-        self, subject: Term, block: TriplesBlock, start: SourceSpan | None = None
+        self, subject: Term, block: _BlockPatterns, start: SourceSpan | None = None
     ) -> None:
         if start is None:
             start = self._peek().span
@@ -369,7 +379,7 @@ class _ParserState:
             predicate = self._parse_verb()
             while True:
                 obj = self._parse_term(position="object", block=block)
-                block.add(Triple(subject, predicate, obj), span=start.cover(self._prev_span()))
+                block.append((Triple(subject, predicate, obj), start.cover(self._prev_span())))
                 if self._peek().kind == "COMMA":
                     self._next()
                     continue
@@ -395,7 +405,7 @@ class _ParserState:
         term = self._parse_iri()
         return term
 
-    def _parse_term(self, position: str, block: TriplesBlock | None = None) -> Term:
+    def _parse_term(self, position: str, block: _BlockPatterns | None = None) -> Term:
         token = self._peek()
         if token.kind == "VAR":
             self._next()
@@ -420,7 +430,7 @@ class _ParserState:
             return Literal(token.value.lower(), datatype=XSD.boolean)
         raise SparqlParseError(f"unexpected token in triple pattern: {token.value!r}", token)
 
-    def _parse_blank_node_property_list(self, block: TriplesBlock | None) -> Term:
+    def _parse_blank_node_property_list(self, block: _BlockPatterns | None) -> Term:
         self._expect("LBRACKET")
         node = fresh_bnode("anon")
         if self._peek().kind != "RBRACKET":
@@ -471,13 +481,13 @@ class _ParserState:
 
     def _resolve_iri(self, token: SparqlToken) -> URIRef:
         value = token.value[1:-1]
-        if self.prologue.base:
-            return URIRef(value, base=self.prologue.base)
+        if self._base:
+            return URIRef(value, base=self._base)
         return URIRef(value)
 
     def _expand_pname(self, token: SparqlToken) -> URIRef:
         prefix, _, local = token.value.partition(":")
-        namespace = self.prologue.namespace_manager.namespace(prefix)
+        namespace = self._manager.namespace(prefix)
         if namespace is None:
             raise SparqlParseError(f"undeclared prefix {prefix!r}", token)
         return URIRef(namespace + local)
@@ -598,7 +608,10 @@ class _ParserState:
     # ------------------------------------------------------------------ #
     # Solution modifiers
     # ------------------------------------------------------------------ #
-    def _parse_solution_modifiers(self, modifiers: SolutionModifiers) -> None:
+    def _parse_solution_modifiers(
+        self, distinct: bool = False, reduced: bool = False
+    ) -> SolutionModifiers:
+        order_by: list[OrderCondition] = []
         if self._at_keyword("ORDER"):
             self._next()
             self._expect("KEYWORD", "BY")
@@ -610,14 +623,14 @@ class _ParserState:
                     self._expect("LPAREN")
                     expression = self._parse_expression()
                     self._expect("RPAREN")
-                    modifiers.order_by.append(
+                    order_by.append(
                         OrderCondition(
                             expression, descending, span=token.span.cover(self._prev_span())
                         )
                     )
                 elif token.kind == "VAR":
                     self._next()
-                    modifiers.order_by.append(
+                    order_by.append(
                         OrderCondition(
                             VariableExpression(Variable(token.value)), span=token.span
                         )
@@ -626,19 +639,22 @@ class _ParserState:
                     self._next()
                     expression = self._parse_expression()
                     self._expect("RPAREN")
-                    modifiers.order_by.append(
+                    order_by.append(
                         OrderCondition(expression, span=token.span.cover(self._prev_span()))
                     )
                 else:
                     break
+        limit: int | None = None
+        offset: int | None = None
         # LIMIT and OFFSET may appear in either order.
         for _ in range(2):
             if self._at_keyword("LIMIT"):
                 self._next()
-                modifiers.limit = int(self._expect("INTEGER").value)
+                limit = int(self._expect("INTEGER").value)
             elif self._at_keyword("OFFSET"):
                 self._next()
-                modifiers.offset = int(self._expect("INTEGER").value)
+                offset = int(self._expect("INTEGER").value)
+        return SolutionModifiers(distinct, reduced, tuple(order_by), limit, offset)
 
 
 def parse_query(text: str, namespace_manager: NamespaceManager | None = None) -> Query:

@@ -65,7 +65,7 @@ class TestAlgebraRewriting:
     def test_result_form_preserved(self, figure2_alignment, registry, sameas_service):
         rewriter = make_rewriter(figure2_alignment, registry, sameas_service)
         rewritten, _ = rewriter.rewrite(parse_query(FIGURE_1_QUERY))
-        assert rewritten.projection == [Variable("a")]
+        assert rewritten.projection == (Variable("a"),)
         assert rewritten.modifiers.distinct
 
     def test_input_not_mutated(self, figure2_alignment, registry, sameas_service):

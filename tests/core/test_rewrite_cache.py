@@ -1,5 +1,7 @@
 """Tests for the mediator's rewrite cache and the batch rewriting APIs."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.alignment import AlignmentStore
@@ -11,6 +13,7 @@ from repro.datasets import (
     akt_to_kisti_alignment,
 )
 from repro.rdf import KISTI, URIRef
+from repro.sparql import GroupGraphPattern
 
 from ..conftest import FIGURE_1_QUERY, FIGURE_6_QUERY
 
@@ -44,12 +47,19 @@ class TestRewriteCache:
         assert second.alignments_considered == first.alignments_considered
         assert second.report.matched_count == first.report.matched_count
 
-    def test_cache_hit_returns_independent_query_objects(self, mediator):
+    def test_cache_hit_returns_the_cached_immutable_query(self, mediator):
         first = mediator.translate(FIGURE_1_QUERY, KISTI_DATASET_URI)
         second = mediator.translate(FIGURE_1_QUERY, KISTI_DATASET_URI)
-        assert second.rewritten_query is not first.rewritten_query
-        # Mutating one result must not leak into subsequent cache hits.
-        first.rewritten_query.triples_blocks().__next__().patterns.clear()
+        # Hits share the cached query instead of copying it ...
+        assert second.rewritten_query is first.rewritten_query
+        # ... which is safe because no caller can change it.
+        block = next(first.rewritten_query.triples_blocks())
+        with pytest.raises(FrozenInstanceError):
+            block.patterns = ()  # type: ignore[misc]
+        with pytest.raises(AttributeError):
+            block.patterns.clear()  # type: ignore[attr-defined]
+        with pytest.raises(FrozenInstanceError):
+            first.rewritten_query.where = GroupGraphPattern()  # type: ignore[misc]
         third = mediator.translate(FIGURE_1_QUERY, KISTI_DATASET_URI)
         assert third.query_text == second.query_text
 
@@ -114,12 +124,22 @@ class TestRewriteCache:
         mediator.translate(FIGURE_1_QUERY, KISTI_DATASET_URI)
         assert mediator.cache_info()["hits"] == 0
 
-    def test_cache_hit_report_entries_are_independent(self, mediator):
+    def test_cache_hit_report_is_shared_and_immutable(self, mediator):
         first = mediator.translate(FIGURE_1_QUERY, KISTI_DATASET_URI)
-        first.report.rewrites[0].produced.clear()
         second = mediator.translate(FIGURE_1_QUERY, KISTI_DATASET_URI)
-        assert second.report.rewrites[0].produced
-        assert second.report.output_size > 0
+        assert second.report is first.report
+        with pytest.raises(AttributeError):
+            first.report.rewrites[0].produced.clear()  # type: ignore[attr-defined]
+        with pytest.raises(AttributeError):
+            first.report.rewrites.append(None)  # type: ignore[attr-defined]
+        with pytest.raises(FrozenInstanceError):
+            first.report.rewrites[0].produced = ()  # type: ignore[misc]
+        with pytest.raises(FrozenInstanceError):
+            first.report.function_calls = 0  # type: ignore[misc]
+        third = mediator.translate(FIGURE_1_QUERY, KISTI_DATASET_URI)
+        assert third.report.rewrites[0].produced
+        assert third.report.output_size > 0
+        assert third.query_text == second.query_text
 
     def test_load_graph_invalidates_cache(self, mediator, store):
         mediator.translate(FIGURE_1_QUERY, KISTI_DATASET_URI)

@@ -167,7 +167,7 @@ class TestQueryRewriter:
     def test_result_form_and_modifiers_preserved(self, figure2_alignment, registry):
         query = parse_query(FIGURE_1_QUERY)
         rewritten, _ = QueryRewriter([figure2_alignment], registry).rewrite(query)
-        assert rewritten.projection == [Variable("a")]
+        assert rewritten.projection == (Variable("a"),)
         assert rewritten.modifiers.distinct is True
 
     def test_filters_preserved_verbatim(self, figure2_alignment, registry):

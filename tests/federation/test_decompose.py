@@ -370,3 +370,62 @@ class TestBoundJoin:
         query = f"SELECT ?s ?w ?v WHERE {{ ?s <{EX}rare> ?w . ?s <{EX}common> ?v }}"
         outcome = service.federate(query, strategy="decompose")
         assert len(outcome.merged()) == 7
+
+
+class TestParallelOption:
+    """``parallel=`` reaches the decompose executor's per-source requests."""
+
+    QUERY = f"SELECT ?s ?o WHERE {{ ?s <{EX}p> ?o }}"
+
+    @staticmethod
+    def _record_fetch_threads(monkeypatch) -> list[str]:
+        import threading
+
+        from repro.federation.decompose import _PlanExecutor
+
+        names: list[str] = []
+        fetch = _PlanExecutor._fetch
+
+        def recording_fetch(self, unit, target, inline):
+            names.append(threading.current_thread().name)
+            return fetch(self, unit, target, inline)
+
+        monkeypatch.setattr(_PlanExecutor, "_fetch", recording_fetch)
+        return names
+
+    @staticmethod
+    def _service():
+        # One pattern answered by two sources: a unit with two requests.
+        return build_federation({
+            "a": [triple("s1", "p", "o1")],
+            "b": [triple("s2", "p", "o2")],
+        })
+
+    def test_sequential_run_fetches_on_the_calling_thread(self, monkeypatch):
+        import threading
+
+        names = self._record_fetch_threads(monkeypatch)
+        service = self._service()
+        assert service.federation.parallel  # the engine default stays parallel
+        outcome = service.federation.execute(
+            self.QUERY, strategy="decompose", parallel=False
+        )
+        assert len(outcome.merged()) == 2
+        assert names == [threading.current_thread().name] * 2
+
+    def test_sequential_batch_fetches_on_the_calling_thread(self, monkeypatch):
+        import threading
+
+        names = self._record_fetch_threads(monkeypatch)
+        service = self._service()
+        outcomes = service.federation.execute_many(
+            [self.QUERY, self.QUERY], strategy="decompose", parallel=False
+        )
+        assert [len(outcome.merged()) for outcome in outcomes] == [2, 2]
+        assert names == [threading.current_thread().name] * 4
+
+    def test_parallel_run_fetches_on_pool_threads(self, monkeypatch):
+        names = self._record_fetch_threads(monkeypatch)
+        self._service().federation.execute(self.QUERY, strategy="decompose")
+        assert len(names) == 2
+        assert all(name.startswith("decompose") for name in names)

@@ -1,5 +1,7 @@
 """Unit tests for the SPARQL algebra translation."""
 
+from dataclasses import replace
+
 from repro.rdf import Graph, Literal, Triple, URIRef, Variable
 from repro.sparql import (
     AlgebraBGP,
@@ -95,7 +97,7 @@ class TestBackTranslation:
         original_rows = evaluator.select(query).to_dicts()
 
         rebuilt = parse_query(EX + "SELECT ?s WHERE { ?s ex:p ?v }")
-        rebuilt.where = algebra_to_group(translate_group(query.where))
+        rebuilt = replace(rebuilt, where=algebra_to_group(translate_group(query.where)))
         rebuilt_rows = evaluator.select(rebuilt).to_dicts()
         assert original_rows == rebuilt_rows
 

@@ -10,6 +10,7 @@ guarantee behind provable emptiness: an unsatisfiable query performs
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -184,7 +185,10 @@ class TestLocalDiagnostics:
         pattern._subject = Literal("subj")
         pattern._predicate = Literal("pred")
         query = parse_query("SELECT ?s WHERE { ?s ?p ?o }")
-        next(iter(query.where.triples_blocks())).patterns.append(pattern)
+        [block] = query.where.elements
+        query = replace(query, where=replace(
+            query.where, elements=(replace(block, patterns=block.patterns + (pattern,)),)
+        ))
         got = {d.code for d in analyze_query(query).diagnostics}
         assert {"SQA105", "SQA106"} <= got
 

@@ -12,6 +12,7 @@ not just the pass-through.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -41,9 +42,11 @@ constant_expressions = st.sampled_from([
 def analyzed_groups(draw):
     """A random group pattern, optionally salted with constant FILTERs."""
     group = draw(group_patterns())
-    for _ in range(draw(st.integers(min_value=0, max_value=2))):
-        group.add(Filter(draw(constant_expressions)))
-    return group
+    salt = [
+        Filter(draw(constant_expressions))
+        for _ in range(draw(st.integers(min_value=0, max_value=2)))
+    ]
+    return replace(group, elements=group.elements + tuple(salt))
 
 
 def _solution_multiset(result):

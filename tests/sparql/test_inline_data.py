@@ -47,7 +47,7 @@ class TestParsing:
         )
         blocks = [e for e in query.where.elements if isinstance(e, InlineData)]
         assert len(blocks) == 1
-        assert blocks[0].columns == [Variable("s")]
+        assert blocks[0].columns == (Variable("s"),)
         assert len(blocks[0].rows) == 2
 
     def test_multi_variable_form_with_undef(self):

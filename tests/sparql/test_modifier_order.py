@@ -7,6 +7,8 @@ distinct values returned one row instead of two, and ``OFFSET 1`` dropped
 a pre-deduplication row.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.rdf import Graph, Literal, Triple, URIRef
@@ -89,7 +91,7 @@ class TestConstructModifierOrder:
         # Force DISTINCT at the AST level (the surface grammar has no
         # CONSTRUCT DISTINCT).  Dedup-before-LIMIT keeps all four distinct
         # solutions; the old slice-then-dedup pipeline kept only i1 and i2.
-        parsed.modifiers.distinct = True
+        parsed = replace(parsed, modifiers=replace(parsed.modifiers, distinct=True))
         graph = evaluator.evaluate(parsed)
         subjects = {triple.subject for triple in graph}
         assert subjects == {uri("i1"), uri("i2"), uri("i3"), uri("i4")}

@@ -30,6 +30,7 @@ from repro.sparql import (
     Prologue,
     QueryEvaluator,
     SelectQuery,
+    SolutionModifiers,
     TermExpression,
     TriplesBlock,
     UnaryExpression,
@@ -81,10 +82,10 @@ def filter_expressions(draw):
 def group_patterns(draw):
     elements = [TriplesBlock(draw(bgps))]
     if draw(st.booleans()):
-        inner = GroupGraphPattern([TriplesBlock(draw(bgps))])
+        inner = [TriplesBlock(draw(bgps))]
         if draw(st.booleans()):
-            inner.add(Filter(draw(filter_expressions())))
-        elements.append(OptionalPattern(inner))
+            inner.append(Filter(draw(filter_expressions())))
+        elements.append(OptionalPattern(GroupGraphPattern(inner)))
     if draw(st.booleans()):
         alternatives = [
             GroupGraphPattern([TriplesBlock(draw(bgps))]) for _ in range(2)
@@ -148,7 +149,6 @@ def test_engines_match_reference_evaluator(backend, triples, where):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(data_triples, max_size=20), group_patterns())
 def test_engines_distinct_matches_reference_evaluator(backend, triples, where):
-    query = SelectQuery(Prologue(), [], where)
-    query.modifiers.distinct = True
+    query = SelectQuery(Prologue(), [], where, SolutionModifiers(distinct=True))
     with _graph_for(backend, triples) as graph:
         _assert_engines_agree(graph, query)

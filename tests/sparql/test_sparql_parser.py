@@ -29,7 +29,7 @@ class TestFigure1Anatomy:
 
     def test_result_form(self):
         query = parse_query(FIGURE_1_QUERY)
-        assert query.projection == [Variable("a")]
+        assert query.projection == (Variable("a"),)
 
     def test_bgp_has_two_patterns(self):
         query = parse_query(FIGURE_1_QUERY)
@@ -61,7 +61,7 @@ class TestSelectVariants:
 
     def test_select_multiple_variables(self):
         query = parse_query("SELECT ?s ?o WHERE { ?s ?p ?o }")
-        assert query.projection == [Variable("s"), Variable("o")]
+        assert query.projection == (Variable("s"), Variable("o"))
 
     def test_missing_projection_raises(self):
         with pytest.raises(SparqlParseError):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant lints, run as a hard CI gate.
 
-Four structural invariants that ordinary linters do not express, checked
+Six structural invariants that ordinary linters do not express, checked
 with nothing but the stdlib ``ast`` module:
 
 1. **Hot-loop allocation ban** — inside the batched executor
@@ -36,6 +36,11 @@ with nothing but the stdlib ``ast`` module:
    ``triples_ids()``, ``cardinality()``, ``stats``, ``dictionary``.
    (``_pos`` is deliberately not on the list: tokenizer/parser classes
    legitimately use ``self._pos`` for their cursor position.)
+
+6. **No deep copies in the package** — no ``copy.deepcopy`` call under
+   ``src/repro/``.  Query ASTs and rewrite reports are immutable values
+   shared as they are; a deep copy on a hot path (such as every
+   rewrite-cache hit) is the cost that immutability removed.
 
 Exit status is non-zero when any violation is found.  Findings are printed
 one per line as ``path:line: [INVxxx] message`` so CI logs read like
@@ -322,6 +327,28 @@ def check_store_boundary(tree: ast.Module, path: Path) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------- #
+# INV006 — no deepcopy under src/repro/
+# --------------------------------------------------------------------------- #
+
+PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
+
+
+def check_no_deepcopy(tree: ast.Module, path: Path) -> list[Finding]:
+    if PACKAGE_ROOT not in path.parents:
+        return []
+    return [
+        Finding(path, node.lineno, "INV006",
+                "deepcopy() call: share immutable values (build changed ones "
+                "with dataclasses.replace) instead of copying")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and (
+            (isinstance(node.func, ast.Name) and node.func.id == "deepcopy")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "deepcopy")
+        )
+    ]
+
+
+# --------------------------------------------------------------------------- #
 
 def main() -> int:
     findings: list[Finding] = []
@@ -340,6 +367,7 @@ def main() -> int:
             findings.extend(check_lock_discipline(tree, path))
             findings.extend(check_span_names(tree, path))
             findings.extend(check_store_boundary(tree, path))
+            findings.extend(check_no_deepcopy(tree, path))
             if path == EXEC_PATH:
                 findings.extend(check_hot_loops(tree, path))
     for finding in findings:
